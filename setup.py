@@ -21,7 +21,6 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.20"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     classifiers=[

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.obs.hostinfo import detect_revision, host_metadata
@@ -147,13 +148,14 @@ def bench_single_config_run(
 def bench_single_config_run_kernel(
     instructions: int, repeats: int, warmup_fraction: float = 0.3
 ) -> ScenarioResult:
-    """Time the specialized kernel against the generic interpreter loop.
+    """Time the specialized kernel against the reference loop.
 
     The timed workload is :func:`bench_single_config_run`'s simulation with
     ``kernel="specialized"`` pinned; the same run with ``kernel="generic"``
-    is timed alongside (same best-of-N) and reported in the details as
-    ``generic_seconds`` / ``speedup_vs_generic``, documenting what the
-    per-configuration generated kernels buy over the interpreted loop.
+    (the cycle-driven reference loop) is timed alongside (same best-of-N)
+    and reported in the details as ``generic_seconds`` /
+    ``speedup_vs_generic``, documenting what the per-configuration generated
+    kernels buy over the reference loop.
     Both runs are bit-identical by construction (enforced by
     ``tests/test_kernel_differential.py``); the compile cost is excluded by
     prewarming the kernel cache before timing, matching steady-state use.
@@ -168,7 +170,10 @@ def bench_single_config_run_kernel(
 
     def workload() -> Dict[str, object]:
         outcome = run_configuration(
-            config, trace, warmup_fraction=warmup_fraction, kernel="specialized"
+            config,
+            trace,
+            warmup_fraction=warmup_fraction,
+            options=RunOptions(kernel="specialized"),
         )
         return {
             "benchmark": SINGLE_RUN_BENCHMARK,
@@ -179,7 +184,10 @@ def bench_single_config_run_kernel(
 
     def generic_workload() -> Dict[str, object]:
         outcome = run_configuration(
-            config, trace, warmup_fraction=warmup_fraction, kernel="generic"
+            config,
+            trace,
+            warmup_fraction=warmup_fraction,
+            options=RunOptions(kernel="generic"),
         )
         return {"cycles": outcome.cycles}
 

@@ -23,61 +23,53 @@ interface package does not need to import this module)::
 Execution time is the cycle in which the last instruction commits, which is
 what Fig. 4a normalizes across configurations.
 
-Event-driven scheduler (default)
---------------------------------
-``run`` normally executes the trace through an event-driven loop built on
-:class:`repro.sim.events.EventWheel`: instead of polling every stage every
-cycle, each source of future activity registers the cycle it next acts —
+Reference loop and kernels
+--------------------------
+:meth:`OutOfOrderPipeline._run_cycle_driven` is the reference model: one
+readable loop over Instruction objects that runs the five stages in a fixed
+order every cycle —
 
-* instruction completions (computes, stores, load data returns) sit in the
-  wheel (or in a dedicated next-cycle bucket for the dominant one-cycle
-  case);
-* the issue stage runs only while ready or deferred instructions exist;
-* the L1 interface ticks only while it reports itself non-quiescent (it
-  aggregates its components — load queue, store buffer, merge buffer, input
-  buffer, cache banks — into that single next-activity signal; a submit or
-  store commit re-arms it);
-* commit and fetch are gated by their own cheap occupancy checks.
+1. retire completions due this cycle (a one-cycle bucket for computes,
+   stores and L1 hits, a min-heap for longer latencies);
+2. issue ready instructions oldest first, up to the issue width, claiming
+   the interface's per-cycle address-computation slots;
+3. tick the L1 interface and schedule the load completions it reports;
+4. commit in order, up to the commit width (committing a store hands it to
+   the store buffer);
+5. fetch/dispatch into the ROB.
 
-When no stage has work in the current cycle and the wheel holds a future
-event, the clock jumps straight to it — the PR-2 *idle fast-forward* is the
-degenerate case of "no event scheduled before the next completion".  All
-skipped cycles are accounted into ``pipeline.cycles`` exactly as if they had
-been simulated, and intra-cycle ordering is pinned (fixed stage order, FIFO
-buckets, seq-ordered ready heap), so results are **bit-identical** to the
-cycle-driven reference loop; only wall time changes.
+When the machine is fully stalled on a future completion and the interface
+reports itself quiescent, the loop jumps the clock to that completion
+(*idle fast-forward*); skipped cycles are accounted into
+``pipeline.cycles`` exactly as if they had been simulated, so results are
+bit-identical with ``enable_fast_forward=False``, which polls every cycle.
 
-The cycle-driven loop is retained for identity testing: construct the
-pipeline with ``scheduler="cycle"`` (or ``enable_fast_forward=False``, which
-also disables the idle fast-forward) to poll every component every cycle
-exactly as the PR-2 code did.  ``fast_forwarded_cycles`` records how many
-cycles either loop skipped.
+The fast path is a per-configuration generated kernel
+(:mod:`repro.sim.kernels`): an event-driven rendering of the same stages with
+the interface tick fused in, attached through the ``kernel`` argument.  When
+the kernel's runtime guards decline, the reference loop runs instead; the
+differential tests hold the two to bit-identical results, and an attached
+:class:`~repro.obs.collector.RunCollector` sees identical cycle categories,
+completion-event counts and occupancy samples from either.
 
 Hot-path notes
 --------------
-``run`` is the innermost loop of every sweep, so its bookkeeping is arrays
-indexed by sequence number rather than dictionaries (``in_flight``,
-``produced``, ``consumers``), instructions completing one cycle out
-(computes, stores, L1-hit notifications) take a bucket list instead of the
-event wheel, and per-cycle statistics are accumulated in locals and flushed
-once at the end of the run (sums of integers, so the flushed totals are
-bit-identical to per-cycle accumulation).
+The reference loop's bookkeeping is arrays indexed by sequence number
+rather than dictionaries (``in_flight``, ``produced``, ``consumers``), and
+per-cycle statistics are accumulated in locals and flushed once at the end
+of the run (sums of integers, so the flushed totals are bit-identical to
+per-cycle accumulation).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.cpu.instruction import Instruction, build_pipeline_arrays
 from repro.cpu.rob import ReorderBuffer, RobEntry
-from repro.sim.events import EventWheel
 from repro.stats import StatCounters
-
-#: recognised values of the ``scheduler`` constructor argument
-SCHEDULERS = ("event", "cycle")
 
 
 @dataclass
@@ -118,19 +110,15 @@ class OutOfOrderPipeline:
         stats: Optional[StatCounters] = None,
         max_cycles: Optional[int] = None,
         enable_fast_forward: bool = True,
-        scheduler: str = "event",
         collector=None,
         kernel=None,
     ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler {scheduler!r} not in {SCHEDULERS}")
         self.interface = interface
         self.params = params
         self.stats = stats if stats is not None else StatCounters()
         self.max_cycles = max_cycles
         self.rob = ReorderBuffer(params.rob_entries)
         self.enable_fast_forward = enable_fast_forward
-        self.scheduler = scheduler
         #: optional repro.obs.collector.RunCollector (duck-typed so this
         #: module does not import obs).  Strictly observational: category
         #: counts and occupancy samples accumulate in loop locals and flush
@@ -140,8 +128,9 @@ class OutOfOrderPipeline:
         #: optional specialized kernel entry point (see repro.sim.kernels):
         #: kernel_run(pipeline, seqs, total, capacity, trace_arrays) returning
         #: a PipelineResult, or None to decline (runtime guard mismatch), in
-        #: which case the generic event-driven loop runs instead.  Only
-        #: consulted on the event-scheduler path.
+        #: which case the reference loop runs instead.  Ignored when
+        #: ``enable_fast_forward`` is off (that switch pins the reference
+        #: loop's every-cycle polling).
         self.kernel = kernel
         #: whether the last run() executed through the specialized kernel
         self.kernel_used = False
@@ -156,51 +145,46 @@ class OutOfOrderPipeline:
 
         ``trace_arrays`` optionally carries the seq-indexed
         ``(kinds, addresses, sizes, producers)`` arrays of the *full* trace
-        (see :meth:`repro.workloads.trace.MemoryTrace.pipeline_arrays`); when
-        omitted they are derived here.  The event-driven loop reads these
-        arrays instead of per-instruction attributes.
+        (see :meth:`repro.workloads.trace.MemoryTrace.pipeline_arrays`) for
+        the kernel; when omitted they are derived here.
 
         Columnar input — a :class:`~repro.workloads.columnar.ColumnarTrace`
         or one of its windows (``run_slice``) — is recognised by its
-        ``columnar_pipeline_plan()`` protocol and executes without any
-        Instruction objects at all: the fetch stage walks a ``range`` of
-        sequence numbers and every fact comes from the column-built arrays.
-        The cycle-driven reference loop keeps its per-instruction shape, so
-        columnar input to ``scheduler="cycle"`` materializes objects first
-        (identity testing only; not a perf path).
+        ``columnar_pipeline_plan()`` protocol and reaches the kernel without
+        any Instruction objects at all: the kernel's fetch stage walks a
+        ``range`` of sequence numbers and every fact comes from the
+        column-built arrays.  The reference loop keeps its per-instruction
+        shape, so it materializes objects first.
         """
-        plan = getattr(trace, "columnar_pipeline_plan", None)
         self.kernel_used = False
         self.kernel_fallback = False
+        self.fast_forwarded_cycles = 0
+        kernel = self.kernel if self.enable_fast_forward else None
+        plan = getattr(trace, "columnar_pipeline_plan", None)
         if plan is not None:
             seqs, total, capacity, trace_arrays = plan()
-            self.fast_forwarded_cycles = 0
             if total == 0:
                 return PipelineResult(
                     cycles=0, instructions=0, loads=0, stores=0, computes=0
                 )
-            if self.scheduler == "cycle" or not self.enable_fast_forward:
-                return self._run_cycle_driven(
-                    trace.materialize_instructions(), total, capacity
-                )
-            kernel = self.kernel
             if kernel is not None:
                 result = kernel(self, seqs, total, capacity, trace_arrays)
                 if result is not None:
                     self.kernel_used = True
                     return result
                 self.kernel_fallback = True
-            return self._run_event_driven(seqs, total, capacity, trace_arrays)
+            return self._run_cycle_driven(
+                trace.materialize_instructions(), total, capacity
+            )
         instructions = list(trace)
         total = len(instructions)
-        self.fast_forwarded_cycles = 0
         if total == 0:
             return PipelineResult(cycles=0, instructions=0, loads=0, stores=0, computes=0)
         # Sequence numbers need not start at zero (a warmed-up run receives a
         # slice of a trace whose seqs are global positions); the seq-indexed
-        # arrays below are sized to the largest seq in this run, and the
-        # event-driven fetch stage walks the seq list built here instead of
-        # touching Instruction attributes again.
+        # arrays are sized to the largest seq in this run, and the kernel's
+        # fetch stage walks the seq list built here instead of touching
+        # Instruction attributes again.
         seqs = []
         seq_append = seqs.append
         capacity = total
@@ -211,516 +195,27 @@ class OutOfOrderPipeline:
             seq_append(seq)
             if seq >= capacity:
                 capacity = seq + 1
-        # ``enable_fast_forward=False`` selects the cycle-driven reference
-        # loop outright: it is what "no skipping at all" means, and the
-        # identity tests rely on it polling every component every cycle.
-        if self.scheduler == "cycle" or not self.enable_fast_forward:
-            return self._run_cycle_driven(instructions, total, capacity)
-        if trace_arrays is None or len(trace_arrays[0]) < capacity:
-            trace_arrays = build_pipeline_arrays(instructions, capacity)
-        kernel = self.kernel
         if kernel is not None:
+            if trace_arrays is None or len(trace_arrays[0]) < capacity:
+                trace_arrays = build_pipeline_arrays(instructions, capacity)
             result = kernel(self, seqs, total, capacity, trace_arrays)
             if result is not None:
                 self.kernel_used = True
                 return result
             self.kernel_fallback = True
-        return self._run_event_driven(seqs, total, capacity, trace_arrays)
-
-
-    # ------------------------------------------------------------------
-    # Event-driven scheduler (default)
-    # ------------------------------------------------------------------
-    def _run_event_driven(
-        self,
-        seqs,
-        total: int,
-        capacity: int,
-        trace_arrays,
-    ) -> PipelineResult:
-        """Event-driven execution: stages run only when they have events.
-
-        Bookkeeping is data-oriented: instead of per-instruction RobEntry
-        objects, parallel seq-indexed arrays carry the issued/completed flags
-        and dependency counts, and the ROB itself is a deque of seqs.  Flag
-        reads become byte loads, which matters at one-to-two million
-        instruction events per second of sweep.  ``seqs`` is any indexable
-        of the run's sequence numbers in fetch order — a list for object
-        traces, a plain ``range`` for columnar windows — the loop's only
-        view of the trace besides ``trace_arrays``.
-        """
-        params = self.params
-        max_cycles = self.max_cycles or (200 * total + 100_000)
-        issue_width = params.issue_width
-        fetch_width = params.fetch_width
-        commit_width = params.commit_width
-        compute_latency = params.compute_latency
-
-        interface = self.interface
-        begin_cycle = interface.begin_cycle
-        can_accept_load = interface.can_accept_load
-        can_accept_store = interface.can_accept_store
-        reserve_load_slot = interface.reserve_load_slot
-        reserve_store_slot = interface.reserve_store_slot
-        submit_load = interface.submit_load
-        submit_store = interface.submit_store
-        commit_store = interface.commit_store
-        tick = interface.tick
-        # Optional protocol extension: an interface without quiescent() is
-        # treated as active every cycle (unit-test stubs keep working; they
-        # simply never skip a tick and never allow a clock jump).
-        quiescent = getattr(interface, "quiescent", None)
-
-        rob_entries = self.rob.entries
-        #: the ROB as a deque of seqs (program order); self.rob stays empty —
-        #: the cycle-driven reference loop still goes through its RobEntry API
-        rob_q: Deque[int] = deque()
-        rob_len = 0  # len(rob_q), maintained inline (hot gate checks)
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        #: completion events further than one cycle out live in the wheel
-        #: (single producer: bare payloads, FIFO per bucket)
-        wheel = EventWheel(single_component=True)
-        schedule = wheel.schedule
-        pop_due = wheel.pop_due
-        #: local mirror of wheel.next_cycle() (int comparisons on the hot path)
-        NEVER = float("inf")
-        wheel_next = NEVER
-
-        next_fetch = 0
-        committed = 0
-        cycle = 0
-        last_commit_cycle = 0
-
-        #: seq -> dispatched-and-not-yet-committed flag
-        in_rob = bytearray(capacity)
-        #: seq -> issued flag
-        issued_f = bytearray(capacity)
-        #: seq -> completed flag
-        completed_f = bytearray(capacity)
-        #: seq -> 1 once the instruction's result is available
-        produced = bytearray(capacity)
-        #: seq -> outstanding producer count while dispatched
-        pending_deps = [0] * capacity
-        #: seq-indexed instruction facts (shared across runs of one trace)
-        kinds, addresses, sizes, producers_of = trace_arrays
-        #: seq -> waiting consumer seqs (None when nobody waits)
-        consumers: List[Optional[List[int]]] = [None] * capacity
-        #: instructions ready at dispatch, in fetch order (ascending seq) —
-        #: the common case, kept out of the heap entirely
-        ready_fifo: Deque[int] = deque()
-        #: min-heap of seqs woken by completing producers (oldest first)
-        ready_heap: List[int] = []
-        #: memory ops that were ready but found no slot this cycle, plus any
-        #: ready instructions beyond this cycle's issue width (ascending seq)
-        deferred: List[int] = []
-        deferred_has_load = False
-        #: True while ``deferred`` may hold more than slot-starved stores
-        #: (issue-width leftovers of unknown kind block clock jumps)
-        deferred_blocking = False
-        #: seqs completing exactly next cycle (computes, stores, L1 hits)
-        due_next: List[int] = []
-        #: stores must claim store-buffer entries in program order (as real
-        #: store queues allocate at dispatch); otherwise younger stores can
-        #: fill the SB and deadlock an older store at the ROB head.
-        store_order: List[int] = []
-        store_order_head = 0
-
-        loads = stores = computes = 0
-        # Per-cycle counters accumulated locally, flushed at the end of run().
-        cycles_counted = 0
-        issued_total = 0
-        dispatched_total = 0
-
-        bucket_latency_ok = compute_latency == 1
-
-        # Observation plumbing: every cycle is classified into exactly one
-        # category (deltas of the loop's own counters decide which), tallied
-        # in locals and flushed into the collector once after the run.
-        collector = self.collector
-        collecting = collector is not None
-        cat_commit = cat_issue = cat_frontend = 0
-        cat_memory = cat_buffer = cat_idle = cat_ff = 0
-        events_seen = 0
-        sample_every = collector.sample_every if collecting else 0
-        next_sample = sample_every if sample_every else NEVER
-        if sample_every:
-            occ_lq = getattr(interface, "load_queue", None)
-            occ_sb = getattr(interface, "store_buffer", None)
-            occ_mb = getattr(interface, "merge_buffer", None)
-
-        # The interface may carry state from a warm-up run of the same trace;
-        # start ticking it unless it positively reports itself idle.
-        interface_active = quiescent is None or not quiescent()
-
-        while committed < total:
-            if cycle > max_cycles:
-                raise RuntimeError(
-                    f"pipeline exceeded {max_cycles} cycles; likely deadlock "
-                    f"({committed}/{total} committed)"
-                )
-            if collecting:
-                commit_before = committed
-                issue_before = issued_total
-                fetch_before = next_fetch
-
-            # ----------------------------------------------------------
-            # 1. Retire completions scheduled for this cycle.  Processing
-            #    order within one cycle does not affect outcomes (waking a
-            #    consumer only pushes onto the ready heap, which issues in
-            #    seq order regardless), so the bucket of one-cycle
-            #    completions is drained before the wheel.
-            # ----------------------------------------------------------
-            if due_next:
-                due_now = due_next
-                due_next = []
-                if collecting:
-                    events_seen += len(due_now)
-                for seq in due_now:
-                    if completed_f[seq]:
-                        continue
-                    completed_f[seq] = 1
-                    produced[seq] = 1
-                    waiting = consumers[seq]
-                    if waiting is not None:
-                        consumers[seq] = None
-                        for consumer in waiting:
-                            left = pending_deps[consumer] - 1
-                            pending_deps[consumer] = left
-                            if left == 0 and not issued_f[consumer]:
-                                heappush(ready_heap, consumer)
-            if wheel_next <= cycle:
-                wheel_due = pop_due(cycle)
-                if collecting:
-                    events_seen += len(wheel_due)
-                for seq in wheel_due:
-                    if completed_f[seq]:
-                        continue
-                    completed_f[seq] = 1
-                    produced[seq] = 1
-                    waiting = consumers[seq]
-                    if waiting is not None:
-                        consumers[seq] = None
-                        for consumer in waiting:
-                            left = pending_deps[consumer] - 1
-                            pending_deps[consumer] = left
-                            if left == 0 and not issued_f[consumer]:
-                                heappush(ready_heap, consumer)
-                wheel_next = wheel.next_cycle()
-                if wheel_next is None:
-                    wheel_next = NEVER
-
-            # ----------------------------------------------------------
-            # 2. Issue ready instructions (oldest first, up to issue width).
-            #    The stage only runs while instructions are ready/deferred.
-            #    Three ascending sources are merged by seq — the deferred
-            #    list, the dispatch FIFO and the wake heap — so the issue
-            #    order is identical to popping one min-heap of all of them,
-            #    without funnelling every instruction through heap churn.
-            # ----------------------------------------------------------
-            if ready_fifo or ready_heap or deferred:
-                begin_cycle(cycle)  # reset the per-cycle slot counters
-                issued = 0
-                postponed: List[int] = []
-                postponed_load = False
-                loads_blocked = stores_blocked = False
-                di = 0
-                dn = len(deferred)
-                # Neither wakes nor deferrals can appear mid-issue, so the
-                # single-source common case (dispatch FIFO only) is decided
-                # once per cycle and skips the three-way merge entirely.
-                simple = not dn and not ready_heap
-                while issued < issue_width:
-                    if simple:
-                        if not ready_fifo:
-                            break
-                        seq = ready_fifo.popleft()
-                    else:
-                        s_def = deferred[di] if di < dn else NEVER
-                        s_fifo = ready_fifo[0] if ready_fifo else NEVER
-                        s_heap = ready_heap[0] if ready_heap else NEVER
-                        if s_def <= s_fifo:
-                            if s_def <= s_heap:
-                                if s_def is NEVER:
-                                    break  # every source is empty
-                                seq = s_def
-                                di += 1
-                            else:
-                                seq = heappop(ready_heap)
-                        elif s_fifo <= s_heap:
-                            seq = ready_fifo.popleft()
-                        else:
-                            seq = heappop(ready_heap)
-                    if not in_rob[seq] or issued_f[seq]:
-                        continue
-                    kind = kinds[seq]
-                    if kind == 0:  # compute
-                        issued_f[seq] = 1
-                        if bucket_latency_ok:
-                            due_next.append(seq)
-                        else:
-                            target = cycle + compute_latency
-                            schedule(target, seq)
-                            if target < wheel_next:
-                                wheel_next = target
-                        issued += 1
-                    elif kind == 1:  # load
-                        if (
-                            not loads_blocked
-                            and can_accept_load()
-                            and reserve_load_slot()
-                        ):
-                            issued_f[seq] = 1
-                            submit_load(seq, addresses[seq], sizes[seq], cycle)
-                            interface_active = True
-                            issued += 1
-                        else:
-                            # Out of load slots this cycle: keep the load for
-                            # the next cycle but let younger computes proceed.
-                            loads_blocked = True
-                            postponed.append(seq)
-                            postponed_load = True
-                    else:  # store
-                        in_store_order = (
-                            store_order_head < len(store_order)
-                            and store_order[store_order_head] == seq
-                        )
-                        if (
-                            not stores_blocked
-                            and in_store_order
-                            and can_accept_store()
-                            and reserve_store_slot()
-                        ):
-                            store_order_head += 1
-                            issued_f[seq] = 1
-                            submit_store(seq, addresses[seq], sizes[seq], cycle)
-                            interface_active = True
-                            # Stores produce no register value: they are
-                            # complete (for commit) once their address is
-                            # computed.
-                            due_next.append(seq)
-                            issued += 1
-                        else:
-                            stores_blocked = True
-                            postponed.append(seq)
-                # Unattempted deferred leftovers (issue width exhausted) stay
-                # deferred; they are younger than everything in ``postponed``
-                # (the merge consumed strictly older seqs first), so appending
-                # keeps the list ascending.  Their kind is unknown here, so
-                # they block clock jumps until re-examined.
-                if di < dn:
-                    postponed += deferred[di:]
-                    deferred_blocking = True
-                else:
-                    deferred_blocking = False
-                deferred = postponed
-                deferred_has_load = postponed_load
-                issued_total += issued
-
-            # ----------------------------------------------------------
-            # 3. Advance the interface while it has scheduled activity;
-            #    schedule load completions.
-            # ----------------------------------------------------------
-            if interface_active:
-                for tag, ready_cycle in tick(cycle):
-                    if not 0 <= tag < capacity or not in_rob[tag] or completed_f[tag]:
-                        continue
-                    if ready_cycle <= cycle + 1:
-                        due_next.append(tag)
-                    else:
-                        schedule(ready_cycle, tag)
-                        if ready_cycle < wheel_next:
-                            wheel_next = ready_cycle
-
-            # ----------------------------------------------------------
-            # 4. Commit in order.
-            # ----------------------------------------------------------
-            if rob_q and completed_f[rob_q[0]]:
-                commits = 0
-                while commits < commit_width and rob_q and completed_f[rob_q[0]]:
-                    seq = rob_q.popleft()
-                    rob_len -= 1
-                    commits += 1
-                    committed += 1
-                    last_commit_cycle = cycle
-                    kind = kinds[seq]
-                    if kind == 1:
-                        loads += 1
-                    elif kind == 2:
-                        stores += 1
-                        commit_store(seq, cycle)
-                        # The committed store must now drain SB -> MB -> cache.
-                        interface_active = True
-                    else:
-                        computes += 1
-                    in_rob[seq] = 0
-                    consumers[seq] = None
-
-            cycles_counted += 1
-
-            # ----------------------------------------------------------
-            # 5. Fetch / dispatch into the ROB.
-            # ----------------------------------------------------------
-            if next_fetch < total:
-                fetched = 0
-                while (
-                    fetched < fetch_width
-                    and next_fetch < total
-                    and rob_len < rob_entries
-                ):
-                    seq = seqs[next_fetch]
-                    rob_q.append(seq)
-                    rob_len += 1
-                    in_rob[seq] = 1
-                    if kinds[seq] == 2:
-                        store_order.append(seq)
-                    pending = 0
-                    producers = producers_of[seq]
-                    if producers:
-                        for producer in producers:
-                            # A producer before this run's slice (or already
-                            # committed) is not in the ROB and counts as done.
-                            if produced[producer] or not in_rob[producer]:
-                                continue
-                            waiting = consumers[producer]
-                            if waiting is None:
-                                waiting = consumers[producer] = []
-                            waiting.append(seq)
-                            pending += 1
-                        pending_deps[seq] = pending
-                    if pending == 0:
-                        # Fetch order is ascending seq: a plain FIFO append.
-                        ready_fifo.append(seq)
-                    next_fetch += 1
-                    fetched += 1
-                dispatched_total += fetched
-
-            # ----------------------------------------------------------
-            # Observation: classify this cycle (one category per counted
-            # cycle; first match wins) and sample structure occupancy.
-            # ``interface_active`` still reflects activity *during* this
-            # cycle — the disarm check below runs after classification.
-            # ----------------------------------------------------------
-            if collecting:
-                if committed > commit_before:
-                    cat_commit += 1
-                elif issued_total > issue_before:
-                    cat_issue += 1
-                elif next_fetch > fetch_before:
-                    cat_frontend += 1
-                elif interface_active:
-                    cat_memory += 1
-                elif deferred:
-                    cat_buffer += 1
-                else:
-                    cat_idle += 1
-                if cycles_counted >= next_sample:
-                    next_sample += sample_every
-                    collector.sample(
-                        cycle,
-                        rob_len,
-                        occ_lq.occupancy if occ_lq is not None else 0,
-                        occ_sb.occupancy if occ_sb is not None else 0,
-                        occ_mb.occupancy if occ_mb is not None else 0,
-                    )
-
-            cycle += 1
-
-            # ----------------------------------------------------------
-            # 6. Re-arm / disarm the interface event: after a tick (and any
-            #    store commits) the interface either still has work next
-            #    cycle or reports itself quiescent, in which case its event
-            #    is descheduled until a submit or commit re-arms it.
-            # ----------------------------------------------------------
-            if interface_active and quiescent is not None and quiescent():
-                interface_active = False
-
-            # ----------------------------------------------------------
-            # 7. No event scheduled for this cycle: jump the clock to the
-            #    next wheel event.  Every skipped cycle would have been a
-            #    complete no-op (nothing to retire/issue/tick/commit/fetch),
-            #    so only the cycle counter advances — results stay
-            #    bit-identical.
-            #
-            #    Deferred memory ops require care: their issue attempt used
-            #    *pre-tick* state, but this cycle's tick may have released
-            #    the back-pressure that blocked them.  A quiescent interface
-            #    holds no unserviced loads, so its load queue is drained and
-            #    a deferred *load* would always issue next cycle — never
-            #    jump then.  A deferred *store* can only issue next cycle if
-            #    it heads the program-order store sequence and the store
-            #    buffer has room; both are stable until a commit or a
-            #    completion event, so anything else is safe to jump across.
-            # ----------------------------------------------------------
-            if (
-                not ready_fifo
-                and not ready_heap
-                and not due_next
-                and not interface_active
-                and quiescent is not None
-                and wheel_next is not NEVER
-                and wheel_next > cycle
-                and (next_fetch >= total or rob_len >= rob_entries)
-                and committed < total
-                and not (rob_q and completed_f[rob_q[0]])
-                and (
-                    not deferred
-                    or (
-                        not deferred_blocking
-                        and not deferred_has_load
-                        and (
-                            store_order_head >= len(store_order)
-                            or store_order[store_order_head] not in deferred
-                            or not can_accept_store()
-                        )
-                    )
-                )
-            ):
-                skipped = wheel_next - cycle
-                cycles_counted += skipped
-                self.fast_forwarded_cycles += skipped
-                if collecting:
-                    cat_ff += skipped
-                cycle = wheel_next
-
-        total_cycles = last_commit_cycle + 1
-        interface.finalize(total_cycles)
-        # Flush the locally accumulated per-cycle counters in one shot.
-        stats = self.stats
-        stats.add("pipeline.issued", issued_total)
-        stats.add("pipeline.cycles", cycles_counted)
-        stats.add("pipeline.dispatched", dispatched_total)
-        stats.set("pipeline.total_cycles", total_cycles)
-        stats.set("pipeline.committed", committed)
-        if collecting:
-            # Every loop iteration classified exactly one counted cycle and
-            # every jump accounted its skipped stretch, so the categories sum
-            # to ``cycles_counted`` == ``total_cycles`` by construction.
-            collector.record_categories(
-                cat_commit,
-                cat_issue,
-                cat_frontend,
-                cat_memory,
-                cat_buffer,
-                cat_idle,
-                cat_ff,
-            )
-            collector.record_run(total_cycles, total, events_seen)
-        return PipelineResult(
-            cycles=total_cycles,
-            instructions=total,
-            loads=loads,
-            stores=stores,
-            computes=computes,
-        )
+        return self._run_cycle_driven(instructions, total, capacity)
 
     # ------------------------------------------------------------------
-    # Cycle-driven reference loop (identity testing; PR-2 behaviour)
+    # Cycle-driven reference loop
     # ------------------------------------------------------------------
     def _run_cycle_driven(
         self, instructions: List[Instruction], total: int, capacity: int
     ) -> PipelineResult:
+        """The reference model: every stage polled every cycle.
+
+        ``kernel="generic"`` selects it, and it runs whenever a kernel's
+        runtime guards decline.
+        """
         params = self.params
         max_cycles = self.max_cycles or (200 * total + 100_000)
         issue_width = params.issue_width
@@ -738,7 +233,8 @@ class OutOfOrderPipeline:
         submit_store = interface.submit_store
         tick = interface.tick
         # Optional protocol extension: interfaces without quiescent() simply
-        # never fast-forward (unit-test stubs keep working unchanged).
+        # never fast-forward and count as active every cycle (unit-test stubs
+        # keep working unchanged).
         quiescent = getattr(interface, "quiescent", None)
         fast_forward = self.enable_fast_forward and quiescent is not None
 
@@ -782,13 +278,29 @@ class OutOfOrderPipeline:
 
         bucket_latency_ok = compute_latency == 1
 
-        # Observation plumbing (same categories as the event-driven loop so
-        # identity tests can compare attributions across schedulers; no
-        # occupancy sampling here — the reference loop is not a perf path).
+        # Observation plumbing: every counted cycle is classified into exactly
+        # one category (deltas of the loop's own counters decide which),
+        # tallied in locals and flushed into the collector once after the
+        # run; the kernels' observe variant reproduces these exactly.
         collector = self.collector
         collecting = collector is not None
         cat_commit = cat_issue = cat_frontend = 0
         cat_memory = cat_buffer = cat_idle = cat_ff = 0
+        #: completion events retired (one-cycle bucket plus heap pops)
+        events_seen = 0
+        sample_every = collector.sample_every if collecting else 0
+        next_sample = sample_every if sample_every else float("inf")
+        if sample_every:
+            occ_lq = getattr(interface, "load_queue", None)
+            occ_sb = getattr(interface, "store_buffer", None)
+            occ_mb = getattr(interface, "merge_buffer", None)
+
+        # Whether the interface has work: live from the start of the run
+        # unless it reports itself idle (it may carry warm-up state), re-armed
+        # by every submit and store commit, and disarmed after a cycle that
+        # leaves it quiescent.  The interface ticks every cycle regardless (a
+        # quiescent tick is a no-op); the flag decides ``memory_wait``.
+        interface_active = quiescent is None or not quiescent()
 
         while committed < total:
             if cycle > max_cycles:
@@ -811,6 +323,8 @@ class OutOfOrderPipeline:
             if due_next:
                 due_now = due_next
                 due_next = []
+                if collecting:
+                    events_seen += len(due_now)
                 for entry in due_now:
                     if entry.completed:
                         continue
@@ -827,6 +341,8 @@ class OutOfOrderPipeline:
                                 heappush(ready_heap, consumer.instruction.seq)
             while completion_events and completion_events[0][0] <= cycle:
                 entry = heappop(completion_events)[2]
+                if collecting:
+                    events_seen += 1
                 if entry.completed:
                     continue
                 entry.completed = True
@@ -877,6 +393,7 @@ class OutOfOrderPipeline:
                         entry.issued = True
                         entry.issue_cycle = cycle
                         submit_load(seq, instruction.address, instruction.size, cycle)
+                        interface_active = True
                         issued += 1
                     else:
                         # Out of load slots this cycle: keep the load for the
@@ -899,6 +416,7 @@ class OutOfOrderPipeline:
                         entry.issued = True
                         entry.issue_cycle = cycle
                         submit_store(seq, instruction.address, instruction.size, cycle)
+                        interface_active = True
                         # Stores produce no register value: they are complete
                         # (for commit purposes) once their address is computed.
                         due_next.append(entry)
@@ -942,6 +460,8 @@ class OutOfOrderPipeline:
                     elif instruction.is_store:
                         stores += 1
                         interface.commit_store(instruction.seq, cycle)
+                        # The committed store must now drain SB -> MB -> cache.
+                        interface_active = True
                     else:
                         computes += 1
                     in_flight[instruction.seq] = None
@@ -988,9 +508,12 @@ class OutOfOrderPipeline:
                     fetched += 1
                 dispatched_total += fetched
 
-            # Observation: classify this cycle (mirrors the event-driven
-            # loop; the interface's post-tick quiescence stands in for its
-            # ``interface_active`` flag).
+            # ----------------------------------------------------------
+            # Observation: classify this cycle (one category per counted
+            # cycle; first match wins) and sample structure occupancy.
+            # ``interface_active`` still reflects activity *during* this
+            # cycle — the disarm check below runs after classification.
+            # ----------------------------------------------------------
             if collecting:
                 if committed > commit_before:
                     cat_commit += 1
@@ -998,14 +521,25 @@ class OutOfOrderPipeline:
                     cat_issue += 1
                 elif next_fetch > fetch_before:
                     cat_frontend += 1
-                elif quiescent is not None and not quiescent():
+                elif interface_active:
                     cat_memory += 1
                 elif deferred:
                     cat_buffer += 1
                 else:
                     cat_idle += 1
+                if cycles_counted >= next_sample:
+                    next_sample += sample_every
+                    collector.sample(
+                        cycle,
+                        len(rob_buffer),
+                        occ_lq.occupancy if occ_lq is not None else 0,
+                        occ_sb.occupancy if occ_sb is not None else 0,
+                        occ_mb.occupancy if occ_mb is not None else 0,
+                    )
 
             cycle += 1
+            if interface_active and quiescent is not None and quiescent():
+                interface_active = False
 
             # ----------------------------------------------------------
             # 6. Idle fast-forward: if the machine is fully stalled waiting
@@ -1064,6 +598,9 @@ class OutOfOrderPipeline:
         stats.set("pipeline.total_cycles", total_cycles)
         stats.set("pipeline.committed", committed)
         if collecting:
+            # Every loop iteration classified exactly one counted cycle and
+            # every jump accounted its skipped stretch, so the categories sum
+            # to ``cycles_counted`` == ``total_cycles`` by construction.
             collector.record_categories(
                 cat_commit,
                 cat_issue,
@@ -1073,7 +610,7 @@ class OutOfOrderPipeline:
                 cat_idle,
                 cat_ff,
             )
-            collector.record_run(total_cycles, total, 0)
+            collector.record_run(total_cycles, total, events_seen)
         return PipelineResult(
             cycles=total_cycles,
             instructions=total,

@@ -48,7 +48,7 @@ class RunAttribution:
     cycles: Dict[str, int] = field(default_factory=dict)
     #: structure -> (dynamic_pj, leakage_pj)
     energy: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    #: events the run dispatched through the event wheel (0 if uncollected)
+    #: completion events the run retired (0 if uncollected)
     events_dispatched: int = 0
     #: derived rates lifted off the stat counters (ipc, miss rates, ...)
     rates: Dict[str, float] = field(default_factory=dict)
@@ -90,8 +90,8 @@ def attribute_run(
 ) -> RunAttribution:
     """Build the attribution of one finished run.
 
-    With a ``collector`` (a run observed through the event-driven loop) the
-    cycle rows are the collector's categories.  Without one — e.g. when
+    With a ``collector`` (an observed run) the cycle rows are the
+    collector's categories.  Without one — e.g. when
     attributing a stored result after the fact — the only honest partition
     available from the result's counters is total cycles, reported as one
     ``unattributed`` row; energy and rate rows are always available.

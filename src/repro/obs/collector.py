@@ -1,11 +1,12 @@
 """Per-run observation collector: cycle categories and sampled occupancy.
 
 A :class:`RunCollector` rides along one pipeline run (attach it through
-``Simulator.run(..., collector=...)`` or ``run_configuration``).  The
-event-driven loop classifies every *simulated* cycle into exactly one
-category and, every ``sample_every`` counted cycles, snapshots the occupancy
-of the pipeline-visible structures (ROB, load queue, store buffer, merge
-buffer).  Both feed the two obs views:
+``RunOptions(collector=...)`` on ``Simulator.run`` or ``run_configuration``).
+The pipeline — the specialized kernel's observe variant, or the reference
+loop with identical results — classifies every *simulated* cycle into
+exactly one category and, every ``sample_every`` counted cycles, snapshots
+the occupancy of the pipeline-visible structures (ROB, load queue, store
+buffer, merge buffer).  Both feed the two obs views:
 
 * the cycle-attribution report (:mod:`repro.obs.attribution`) — the
   categories below partition the run, so their counts **sum to the total
@@ -35,8 +36,8 @@ Categories (one per cycle, first match wins):
     A fully quiet cycle the loop still simulated (waiting on a future
     completion without jumping).
 ``fast_forwarded``
-    Cycles the event scheduler skipped outright (idle stretches jumped in
-    one step); attributed here, never simulated.
+    Cycles the pipeline skipped outright (idle stretches jumped in one
+    step); attributed here, never simulated.
 
 Collection is strictly additive: the collector never touches the
 :class:`~repro.stats.StatCounters` results, so attaching one cannot perturb
@@ -83,8 +84,8 @@ class RunCollector:
         }
         #: (cycle, rob, load_queue, store_buffer, merge_buffer) samples
         self.samples: List[Tuple[int, int, int, int, int]] = []
-        #: events dispatched through the run's event wheel (incl. the
-        #: next-cycle bucket, which is the wheel's one-cycle fast path)
+        #: completion events the run retired (the one-cycle bucket plus the
+        #: longer-latency wheel/heap)
         self.events_dispatched = 0
         #: total cycles of the run as the pipeline reported them
         self.total_cycles = 0
@@ -115,7 +116,7 @@ class RunCollector:
         categories["fast_forwarded"] += fast_forwarded
 
     def record_run(self, total_cycles: int, instructions: int, events: int) -> None:
-        """Record run totals (cycle count, instruction count, wheel events)."""
+        """Record run totals (cycle count, instruction count, completion events)."""
         self.total_cycles += total_cycles
         self.instructions += instructions
         self.events_dispatched += events

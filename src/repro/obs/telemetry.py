@@ -18,9 +18,8 @@ uses):
     bench harness via :mod:`repro.obs.hostinfo`), total cells, job count.
 ``cell``
     One line per cell the run touched: cell/config/trace content hashes,
-    wall seconds, worker pid, kernel used / fallback reason, scheduler and
-    trace frontend, and whether the result was computed or served from the
-    store.
+    wall seconds, worker pid, kernel requested / used / fallback reason, and
+    whether the result was computed or served from the store.
 ``run_end``
     One footer per execution: totals, elapsed wall time, cells/sec, kernel
     fallback tally, and the run's merged metrics registry dump — which is

@@ -3,18 +3,23 @@
 ``compile_kernel(config)`` turns a :class:`~repro.sim.config.SimulationConfig`
 into a :class:`KernelProgram` — an ``exec``-compiled module whose
 ``kernel_run(pipeline, seqs, total, capacity, trace_arrays)`` entry point is
-the event-driven pipeline loop fused with the configuration's interface tick
+an event-driven pipeline loop fused with the configuration's interface tick
 and batched stat accounting (see :mod:`repro.sim.kernels.generator`).
+``compile_kernel(config, observe=True)`` builds the *observe* variant, the
+same loop plus the :class:`~repro.obs.collector.RunCollector` hooks, which
+observed runs execute instead of the default kernel.
 
 Programs are cached per *content hash*: a digest of the primitive spec the
 generator consumed (excluding the config's name and seed) plus the generator
-version, so every sweep cell sharing a configuration shape compiles once —
-including across pool workers when the campaign executor's initializer calls
-:func:`prewarm` with the campaign's distinct configs.
+version and the variant, so every sweep cell sharing a configuration shape
+compiles once — including across pool workers when the campaign executor's
+initializer calls :func:`prewarm` with the campaign's distinct configs.
 
-Selection follows the PR-7 frontend pattern: ``"specialized"`` is the
-default, ``kernel="generic"`` / ``REPRO_SIM_KERNEL=generic`` keeps the
-original interpreted loop as the differential-testing oracle.
+``"specialized"`` (the default) runs these kernels; ``kernel="generic"``
+runs the cycle-driven reference loop
+(:meth:`repro.cpu.pipeline.OutOfOrderPipeline._run_cycle_driven`), the
+differential-testing oracle, which is also what runs whenever a kernel's
+runtime guards decline.
 
 Generated sources are registered with :mod:`linecache` under a synthetic
 ``<repro-kernel-...>`` filename, so tracebacks out of exec-compiled code show
@@ -27,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import linecache
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable
 
 from repro.sim.config import SimulationConfig
 from repro.sim.kernels.generator import (
@@ -40,42 +45,15 @@ from repro.sim.kernels.generator import (
 __all__ = [
     "GENERATOR_VERSION",
     "KERNELS",
-    "KERNEL_ENV",
     "KernelProgram",
     "compile_kernel",
     "content_hash",
     "kernel_source",
     "prewarm",
-    "resolve_kernel",
 ]
 
-#: environment variable selecting the process-wide default kernel
-KERNEL_ENV = "REPRO_SIM_KERNEL"
-
-#: recognised kernel selections
+#: recognised kernel selections (the first is the default)
 KERNELS = ("specialized", "generic")
-
-_DEFAULT_KERNEL = "specialized"
-
-
-def resolve_kernel(explicit: Optional[str] = None) -> str:
-    """The effective kernel selection.
-
-    Explicit argument (a ``kernel=`` parameter or a
-    :class:`repro.api.RunOptions` field) beats the *deprecated*
-    ``REPRO_SIM_KERNEL`` environment variable — consulted through
-    :func:`repro.api.env_fallback`, which emits the ``DeprecationWarning``
-    — beats the built-in default (``"specialized"``), mirroring
-    :func:`repro.workloads.columnar.resolve_frontend`.
-    """
-    choice = explicit
-    if choice is None:
-        from repro.api import env_fallback
-
-        choice = (env_fallback(KERNEL_ENV) or "").lower() or _DEFAULT_KERNEL
-    if choice not in KERNELS:
-        raise ValueError(f"kernel {choice!r} not in {KERNELS}")
-    return choice
 
 
 @dataclass(frozen=True)
@@ -89,15 +67,16 @@ class KernelProgram:
     entry: Callable
 
 
-def content_hash(config: SimulationConfig) -> str:
+def content_hash(config: SimulationConfig, observe: bool = False) -> str:
     """Digest of everything the generated code depends on.
 
     Two configs differing only in ``name``/``seed`` hash identically (the
     spec excludes both), so sweep cells share one compiled kernel.  The
-    generator version is part of the spec, so emitted-code changes roll the
-    hash over.
+    generator version and the observe flag are part of the spec, so
+    emitted-code changes roll the hash over and the two variants never
+    share a cache slot.
     """
-    spec = build_spec(config)
+    spec = build_spec(config, observe)
     payload = repr(sorted(spec.items())).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
@@ -118,21 +97,25 @@ def _bump(name: str, amount: float = 1.0) -> None:
         obs_metrics.registry.counter(name).inc(amount)
 
 
-def kernel_source(config: SimulationConfig) -> str:
+def kernel_source(config: SimulationConfig, observe: bool = False) -> str:
     """The generated module text for ``config`` (for dumping/debugging)."""
-    digest = content_hash(config)
-    return generate_source(build_spec(config), digest)
+    digest = content_hash(config, observe)
+    return generate_source(build_spec(config, observe), digest)
 
 
-def compile_kernel(config: SimulationConfig, _count: bool = True) -> KernelProgram:
+def compile_kernel(
+    config: SimulationConfig, _count: bool = True, observe: bool = False
+) -> KernelProgram:
     """Build (or fetch from the per-process cache) ``config``'s kernel.
+
+    ``observe=True`` selects the collector-instrumented variant.
 
     Bumps ``kernel.cache.hit``/``kernel.cache.miss`` when metrics are on;
     :func:`prewarm` passes ``_count=False`` so warm-up compiles stay out of
     the hit/miss ledger and the counters stay invariant across job counts
     (prewarmed pool worker vs cold serial path).
     """
-    digest = content_hash(config)
+    digest = content_hash(config, observe)
     program = _CACHE.get(digest)
     if program is not None:
         if _count:
@@ -140,9 +123,10 @@ def compile_kernel(config: SimulationConfig, _count: bool = True) -> KernelProgr
         return program
     if _count:
         _bump("kernel.cache.miss")
-    spec = build_spec(config)
+    spec = build_spec(config, observe)
     source = generate_source(spec, digest)
-    filename = f"<repro-kernel-{spec['kind']}-{digest[:8]}>"
+    variant = "-observe" if observe else ""
+    filename = f"<repro-kernel-{spec['kind']}{variant}-{digest[:8]}>"
     # Register with linecache so tracebacks through exec-compiled code show
     # real source lines with real line numbers.
     linecache.cache[filename] = (

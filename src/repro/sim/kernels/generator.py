@@ -7,10 +7,10 @@ Python module whose single entry point::
 
     kernel_run(pipeline, seqs, total, capacity, trace_arrays) -> PipelineResult | None
 
-is the event-driven pipeline loop of
-:meth:`repro.cpu.pipeline.OutOfOrderPipeline._run_event_driven` with the
-interface tick, the acceptance checks and the stat accounting *fused in* and
-specialized for that one configuration:
+is an event-driven rendering of the pipeline loop of
+:meth:`repro.cpu.pipeline.OutOfOrderPipeline._run_cycle_driven` (the
+reference loop) with the interface tick, the acceptance checks and the stat
+accounting *fused in* and specialized for that one configuration:
 
 * config-dependent branches are resolved at generation time (interface kind,
   MALEC way determination on/off, merge granularity, TLB/cache geometry,
@@ -31,15 +31,26 @@ so slow paths (TLB misses, cache misses, way-hint mismatches, structure
 materialization) run the canonical code and charge the canonical counters.
 All simulation state stays canonical — the kernel creates and mutates the
 same ``LoadQueueEntry``/``StoreBufferEntry``/``MemoryAccessRequest``/
-``BankRequest`` objects the generic loop would, so a collector run, a
-fast-forward, or a later generic run over the same interface observes
-identical structures.
+``BankRequest`` objects the reference loop would, so a later reference run
+over the same interface observes identical structures.
 
 The emitted module also begins with a battery of *runtime guards*: if the
 live pipeline/interface does not match the generation-time spec (someone
-swapped the replacement policy, resized a buffer, attached a collector, …)
-``kernel_run`` returns ``None`` before touching anything and the caller
-falls back to the generic loop.
+swapped the replacement policy, resized a buffer, …) ``kernel_run`` returns
+``None`` before touching anything and the caller falls back to the
+reference loop.
+
+Observe variant
+---------------
+``build_spec(config, observe=True)`` adds an ``observe`` key to the spec, so
+the variant hashes (and caches) separately from the default kernel.  Its
+source additionally carries the collector hooks of
+:class:`repro.obs.collector.RunCollector`: every counted cycle is classified
+into one of the seven cycle categories, structure occupancy is sampled every
+``sample_every`` counted cycles, and completion events are counted.  The
+variant requires a collector (its guard declines without one) and the
+default variant declines with one, so the default kernel carries no
+observation code at all.
 """
 
 from __future__ import annotations
@@ -57,11 +68,13 @@ KIND_CLASSES = {
 }
 
 
-def build_spec(config: SimulationConfig) -> dict:
+def build_spec(config: SimulationConfig, observe: bool = False) -> dict:
     """Flatten ``config`` into the primitive values the generator consumes.
 
     The spec deliberately excludes ``name`` and ``seed``: two configurations
     differing only in those share one compiled kernel (content-hash cache).
+    ``observe`` selects the collector-instrumented variant; the key is only
+    present when set, so the default variant's spec (and hash) is unchanged.
     """
     layout = config.cache.layout
     line_mask = layout._line_offset_mask
@@ -95,6 +108,8 @@ def build_spec(config: SimulationConfig) -> dict:
             # is guarded at runtime like every other assumption.
             new_loads_per_cycle=4,
         )
+    if observe:
+        spec["observe"] = True
     return spec
 
 
@@ -116,8 +131,9 @@ def _header(spec: dict, content_hash: str) -> str:
         )
     else:
         extra = "from repro.interfaces.base import PendingLoad\n"
+    variant = ", observe variant" if spec.get("observe") else ""
     return (
-        f'"""Specialized {kind} simulation kernel '
+        f'"""Specialized {kind} simulation kernel{variant} '
         f"(repro.sim.kernels generator v{spec['generator']}).\n"
         f"\n"
         f"Auto-generated for configuration content hash {content_hash}; do not\n"
@@ -154,13 +170,23 @@ def _quiescent_expr(spec: dict) -> str:
 
 def _guards(spec: dict) -> str:
     kind = spec["kind"]
+    if spec.get("observe"):
+        collector_guard = [
+            "    collector = pipeline.collector",
+            "    if collector is None:",
+            "        return None",
+        ]
+    else:
+        collector_guard = [
+            "    if pipeline.collector is not None:",
+            "        return None",
+        ]
     lines = [
         "    # ---- runtime guards: any mismatch falls back to the generic loop ----",
         "    interface = pipeline.interface",
         "    params = pipeline.params",
         "    stats = pipeline.stats",
-        "    if pipeline.collector is not None:",
-        "        return None",
+        *collector_guard,
         f'    if type(interface).__name__ != "{spec["class_name"]}":',
         "        return None",
         "    if interface.stats is not stats:",
@@ -412,13 +438,34 @@ def _prologue(spec: dict) -> str:
 
 def _loop_head(spec: dict) -> str:
     q = _quiescent_expr(spec)
+    observe = spec.get("observe")
+    obs_state = obs_before = obs_due = ""
+    wheel_drain = "for seq in wheel_buckets_pop(heappop(wheel_heap)):"
+    if observe:
+        # Observation state; the fast-forward category is the local
+        # ``fast_forwarded`` tally, so it needs no counter of its own.
+        obs_state = """
+    cat_commit = cat_issue = cat_frontend = 0
+    cat_memory = cat_buffer = cat_idle = 0
+    events_seen = 0
+    sample_every = collector.sample_every
+    next_sample = sample_every if sample_every else NEVER"""
+        obs_before = """
+        commit_before = committed
+        issue_before = issued_total
+        fetch_before = next_fetch"""
+        obs_due = """
+            events_seen += len(due_now)"""
+        wheel_drain = """due_bucket = wheel_buckets_pop(heappop(wheel_heap))
+                events_seen += len(due_bucket)
+                for seq in due_bucket:"""
     return f"""
-    # ---- event-driven loop state (transcribed from _run_event_driven) ----
+    # ---- event-driven loop state (same stages as the reference loop) ----
     max_cycles = pipeline.max_cycles or (200 * total + 100000)
     heappush = heapq.heappush
     heappop = heapq.heappop
-    # Single-component EventWheel, inlined: per-cycle buckets + a min-heap
-    # with one entry per distinct bucket cycle (see repro.sim.events).
+    # Completion wheel: per-cycle buckets (FIFO) + a min-heap with one
+    # entry per distinct bucket cycle.
     wheel_buckets = {{}}
     wheel_buckets_get = wheel_buckets.get
     wheel_buckets_pop = wheel_buckets.pop
@@ -451,19 +498,19 @@ def _loop_head(spec: dict) -> str:
     issued_total = 0
     dispatched_total = 0
     fast_forwarded = 0
-    interface_active = not ({q})
+    interface_active = not ({q}){obs_state}
 
     while committed < total:
         if cycle > max_cycles:
             raise RuntimeError(
                 "pipeline exceeded %d cycles; likely deadlock (%d/%d committed)"
                 % (max_cycles, committed, total)
-            )
+            ){obs_before}
 
         # 1. Retire completions scheduled for this cycle.
         if due_next:
             due_now = due_next
-            due_next = []
+            due_next = []{obs_due}
             for seq in due_now:
                 if completed_f[seq]:
                     continue
@@ -479,7 +526,7 @@ def _loop_head(spec: dict) -> str:
                             heappush(ready_heap, consumer)
         if wheel_next <= cycle:
             while wheel_heap and wheel_heap[0] <= cycle:
-                for seq in wheel_buckets_pop(heappop(wheel_heap)):
+                {wheel_drain}
                     if completed_f[seq]:
                         continue
                     completed_f[seq] = 1
@@ -1175,8 +1222,38 @@ def _tick_malec(spec: dict) -> str:
 """
 
 
+def _observe_cycle() -> str:
+    """Classify the cycle just simulated and sample occupancy (observe
+    variant): first match wins, with ``interface_active`` still reflecting
+    this cycle's activity — the disarm check runs after it."""
+    return """
+        if committed > commit_before:
+            cat_commit += 1
+        elif issued_total > issue_before:
+            cat_issue += 1
+        elif next_fetch > fetch_before:
+            cat_frontend += 1
+        elif interface_active:
+            cat_memory += 1
+        elif deferred:
+            cat_buffer += 1
+        else:
+            cat_idle += 1
+        if cycles_counted >= next_sample:
+            next_sample += sample_every
+            collector.sample(
+                cycle,
+                rob_len,
+                load_queue.occupancy,
+                store_buffer.occupancy,
+                merge_buffer.occupancy,
+            )
+"""
+
+
 def _loop_tail(spec: dict) -> str:
     q = _quiescent_expr(spec)
+    observe = _observe_cycle() if spec.get("observe") else ""
     return f"""
         # 4. Commit in order (commit_store inlined: StoreBuffer.mark_committed).
         if rob_q and completed_f[rob_q[0]]:
@@ -1235,7 +1312,7 @@ def _loop_tail(spec: dict) -> str:
                 next_fetch += 1
                 fetched += 1
             dispatched_total += fetched
-
+{observe}
         cycle += 1
 
         # 6. Re-arm / disarm the interface event (quiescent() inlined).
@@ -1402,6 +1479,19 @@ def _epilogue(spec: dict) -> str:
         if spec["way_determination"] == "wt":
             rows += [_flush_row("acc_uwt_read", [("h_uwt_read", "acc_uwt_read")])]
     body = "\n".join(rows)
+    observe = ""
+    if spec.get("observe"):
+        observe = """
+    collector.record_categories(
+        cat_commit,
+        cat_issue,
+        cat_frontend,
+        cat_memory,
+        cat_buffer,
+        cat_idle,
+        fast_forwarded,
+    )
+    collector.record_run(total_cycles, total, events_seen)"""
     return f"""
     # ---- run boundary: flush batched accumulators, then finalize ----
     pipeline.fast_forwarded_cycles += fast_forwarded
@@ -1412,7 +1502,7 @@ def _epilogue(spec: dict) -> str:
     stats.add("pipeline.cycles", cycles_counted)
     stats.add("pipeline.dispatched", dispatched_total)
     stats.set("pipeline.total_cycles", total_cycles)
-    stats.set("pipeline.committed", committed)
+    stats.set("pipeline.committed", committed){observe}
     return PipelineResult(
         cycles=total_cycles,
         instructions=total,

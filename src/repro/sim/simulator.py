@@ -25,7 +25,7 @@ from repro.interfaces.base_2ld1st import BaselineDualLoadInterface
 from repro.interfaces.malec import MalecInterface
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.config import InterfaceKind, SimulationConfig
-from repro.sim.kernels import compile_kernel, resolve_kernel
+from repro.sim.kernels import compile_kernel
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
@@ -145,11 +145,11 @@ class Simulator:
         # so a sweep builds each cell shape's model once, not once per cell.
         self.energy_model = _energy_model_for(config)
         self.accountant = EnergyAccountant(self.energy_model)
-        #: kernel selection resolved by the last run() ("specialized"/"generic")
+        #: kernel name resolved by the last run() ("specialized"/"generic")
         self.kernel_requested: Optional[str] = None
         #: whether the last run()'s measured pipeline executed a specialized kernel
         self.kernel_used = False
-        #: why the last run() fell back to the generic loop (None if it didn't)
+        #: why the last run() fell back to the reference loop (None if it didn't)
         self.kernel_fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -189,77 +189,55 @@ class Simulator:
             commit_width=self.config.pipeline.commit_width,
         )
 
-    @staticmethod
-    def _count_kernel_fallback(reason: str) -> None:
-        """Bump the ``kernel.fallback.<reason>`` counter iff metrics are on.
+    def _kernel_entries(self, kernel: str, collector):
+        """Compile the entry points of the warm-up and measured pipelines.
 
-        Lazy import: ``repro.obs`` pulls in this module (attribution), so a
-        top-level import would be circular — same idiom as the columnar
-        frontend import below.
+        Returns ``(warmup_entry, measured_entry)``; both are ``None`` for
+        ``kernel="generic"`` (the reference loop).  A measured run with a
+        collector gets the kernel's observe variant, so observing a run never
+        switches it off the kernel.
         """
-        from repro.obs import metrics as obs_metrics
-
-        if obs_metrics.enabled():
-            slug = reason.replace(" ", "_")
-            obs_metrics.registry.counter(f"kernel.fallback.{slug}").inc()
-
-    def _kernel_entry(self, kernel: Optional[str], collector, scheduler: str = "event"):
-        """Resolve the kernel selection and compile the entry point (or not).
-
-        Returns the compiled ``kernel_run`` callable, or ``None`` when the
-        generic loop should run — recording why in
-        ``kernel_fallback_reason`` so ``repro report`` can say so (and, with
-        metrics on, bumping ``kernel.fallback.<reason>`` so the observer
-        effect shows up in snapshots and telemetry journals too).
-        """
-        choice = resolve_kernel(kernel)
-        self.kernel_requested = choice
+        self.kernel_requested = kernel
         self.kernel_used = False
         self.kernel_fallback_reason = None
-        if choice != "specialized":
-            return None
-        if scheduler != "event":
-            # Specialized kernels are fused event-driven loops; the cycle
-            # scheduler is the reference path and never runs one.
-            self.kernel_fallback_reason = "cycle scheduler"
-            self._count_kernel_fallback(self.kernel_fallback_reason)
-            return None
-        if collector is not None:
-            # Attribution instruments the generic loop's stages; specialized
-            # kernels have no per-stage hooks, so collector runs take the
-            # generic path (bit-identical results either way).
-            self.kernel_fallback_reason = "collector attached"
-            self._count_kernel_fallback(self.kernel_fallback_reason)
-            return None
-        return compile_kernel(self.config).entry
+        if kernel != "specialized":
+            return None, None
+        entry = compile_kernel(self.config).entry
+        if collector is None:
+            return entry, entry
+        return entry, compile_kernel(self.config, observe=True).entry
 
     def _note_kernel_outcome(self, entry, pipeline) -> None:
-        """Record whether the measured pipeline actually used ``entry``."""
+        """Record whether the measured pipeline actually used ``entry``.
+
+        A declined kernel bumps ``kernel.fallback.runtime_guard_mismatch``
+        when metrics are on, so fallbacks show up in snapshots and telemetry
+        journals too.
+        """
         if entry is None:
             return
         self.kernel_used = pipeline.kernel_used
         if pipeline.kernel_fallback:
             self.kernel_fallback_reason = "runtime guard mismatch"
-            self._count_kernel_fallback(self.kernel_fallback_reason)
+            # Lazy import: repro.obs pulls in this module (attribution), so a
+            # top-level import would be circular.
+            from repro.obs import metrics as obs_metrics
+
+            if obs_metrics.enabled():
+                obs_metrics.registry.counter(
+                    "kernel.fallback.runtime_guard_mismatch"
+                ).inc()
 
     def run(
         self,
         trace: Iterable[Instruction],
         warmup_fraction: float = 0.0,
-        collector=None,
-        frontend: Optional[str] = None,
-        kernel: Optional[str] = None,
         options: Optional[RunOptions] = None,
     ) -> SimulationResult:
         """Execute ``trace`` and return performance plus energy results.
 
-        ``options`` is the preferred way to configure the run: one
-        :class:`repro.api.RunOptions` carrying frontend, kernel, scheduler
-        and collector.  The loose ``collector=``/``frontend=``/``kernel=``
-        keywords remain as deprecated fallbacks that resolve into a
-        ``RunOptions`` (via :meth:`RunOptions.from_env`, which also absorbs
-        the deprecated environment variables); mixing them with ``options=``
-        raises ``ValueError``.
+        ``options`` (a :class:`repro.api.RunOptions`; ``None`` means all
+        defaults) selects the kernel and attaches an optional collector.
 
         ``warmup_fraction`` runs the first part of the trace only to warm the
         caches, TLBs and way tables; its cycles and events are discarded
@@ -268,153 +246,75 @@ class Simulator:
         keep compulsory misses from dominating the (much shorter) synthetic
         traces.
 
-        ``collector`` optionally attaches a
+        ``options.kernel`` selects the hot loop: ``"specialized"`` (the
+        default) runs a per-configuration generated kernel (see
+        :mod:`repro.sim.kernels`), fed the trace's columnar view whenever it
+        has one — :class:`~repro.workloads.trace.MemoryTrace` and
+        :class:`~repro.workloads.columnar.ColumnarTrace` do, plain iterables
+        of Instructions do not.  ``"generic"`` runs the cycle-driven
+        reference loop, which also runs whenever a kernel's runtime guards
+        decline (recorded in ``kernel_fallback_reason``).  Results are
+        bit-identical either way (enforced by
+        ``tests/test_kernel_differential.py``).
+
+        ``options.collector`` optionally attaches a
         :class:`repro.obs.collector.RunCollector` to the *measured* pipeline
         (warm-up cycles are discarded from results, so they are excluded from
-        attribution too).  Observation is strictly additive — the returned
-        result is bit-identical with and without a collector.
-
-        ``kernel`` selects the hot-loop implementation: ``"specialized"``
-        (the default; overridable process-wide through ``REPRO_SIM_KERNEL``)
-        runs a per-configuration generated kernel — the event-driven loop
-        fused with the interface tick and batched stat accounting (see
-        :mod:`repro.sim.kernels`); ``"generic"`` keeps the interpreted loop
-        as the differential oracle.  Results are bit-identical either way
-        (enforced by ``tests/test_kernel_differential.py``).  Collector runs
-        fall back to the generic loop and record why in
-        ``kernel_fallback_reason``.
-
-        ``frontend`` selects how the trace is fed to the pipeline:
-        ``"columnar"`` (the default; overridable process-wide through
-        ``REPRO_TRACE_FRONTEND``) runs traces that expose a ``columnar()``
-        view — :class:`~repro.workloads.trace.MemoryTrace` and
-        :class:`~repro.workloads.columnar.ColumnarTrace` — through the
-        column-batched path with no per-instruction objects in the loop;
-        ``"object"`` forces the original Instruction-list path, kept as the
-        differential-testing oracle.  Results are bit-identical either way
-        (enforced by ``tests/test_columnar_differential.py``).  Plain
-        iterables of Instructions always take the object path.
+        attribution too); specialized runs execute the kernel's observe
+        variant.  Observation is strictly additive — the returned result is
+        bit-identical with and without a collector.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1)")
-        if options is not None:
-            if collector is not None or frontend is not None or kernel is not None:
-                raise ValueError(
-                    "pass options= or the legacy collector=/frontend=/kernel= "
-                    "keywords, not both"
-                )
-        else:
-            options = RunOptions.from_env(
-                collector=collector, frontend=frontend, kernel=kernel
-            )
+        if options is None:
+            options = RunOptions()
         collector = options.collector
-        scheduler = options.resolved_scheduler()
-        entry = self._kernel_entry(options.kernel, collector, scheduler)
-        if options.resolved_frontend() == "columnar":
-            as_columnar = getattr(trace, "columnar", None)
-            if as_columnar is not None:
-                return self._run_columnar(
-                    as_columnar(), warmup_fraction, collector, entry, scheduler
-                )
-        instructions = list(trace)
-        # Warm the layout's memoised address decomposition in one pass so
-        # every address is decomposed exactly once, not once per interface
-        # structure (the layout the interfaces slice with is the config's).
-        warm = getattr(trace, "precompute_decompositions", None)
-        if warm is not None:
-            warm(self.config.cache.layout)
+        warmup_entry, entry = self._kernel_entries(
+            options.resolved_kernel(), collector
+        )
+        layout = self.config.cache.layout
+        as_columnar = getattr(trace, "columnar", None)
+        if as_columnar is not None:
+            # Zero-copy run_slice windows over one view whose seq-indexed
+            # arrays are built once and shared by the warm-up and measured
+            # pipelines (and by every configuration running the same view);
+            # the layout memo is warmed in one pass over the distinct
+            # addresses.
+            view = as_columnar()
+            view.precompute_decompositions(layout)
+            total = len(view)
+            warmup_count = int(total * warmup_fraction)
+            warmup_input = view.run_slice(0, warmup_count)
+            measured_input = view.run_slice(warmup_count, total)
         else:
-            decompose = self.config.cache.layout.decompose
+            instructions = list(trace)
             for instruction in instructions:
                 if instruction.address is not None:
-                    decompose(instruction.address)
-        warmup_count = int(len(instructions) * warmup_fraction)
-        # Seq-indexed instruction facts, built once per trace and shared by
-        # the warm-up and measured pipelines of every configuration.
-        arrays = getattr(trace, "pipeline_arrays", None)
-        trace_arrays = arrays() if arrays is not None else None
+                    layout.decompose(instruction.address)
+            warmup_count = int(len(instructions) * warmup_fraction)
+            warmup_input = instructions[:warmup_count]
+            measured_input = instructions[warmup_count:]
         params = self._pipeline_parameters()
-        # The cycle loop allocates short-lived objects at a rate that keeps
-        # the cyclic collector busy for nothing (the simulator builds no
-        # reference cycles); pausing it for the run is a pure wall-time win.
+        # The reference loop allocates short-lived objects at a rate that
+        # keeps the cyclic collector busy for nothing (the simulator builds
+        # no reference cycles); pausing it for the run is a pure wall-time
+        # win.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             if warmup_count:
-                warmup_pipeline = OutOfOrderPipeline(
-                    self.interface,
-                    params=params,
-                    stats=self.stats,
-                    scheduler=scheduler,
-                    kernel=entry,
-                )
-                warmup_pipeline.run(instructions[:warmup_count], trace_arrays)
+                OutOfOrderPipeline(
+                    self.interface, params=params, stats=self.stats, kernel=warmup_entry
+                ).run(warmup_input)
                 self.stats.clear()
             pipeline = OutOfOrderPipeline(
                 self.interface,
                 params=params,
                 stats=self.stats,
-                scheduler=scheduler,
                 collector=collector,
                 kernel=entry,
             )
-            outcome = pipeline.run(instructions[warmup_count:], trace_arrays)
-            self._note_kernel_outcome(entry, pipeline)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        energy = self.accountant.report(self.stats, outcome.cycles)
-        return SimulationResult(
-            config_name=self.config.name,
-            cycles=outcome.cycles,
-            instructions=outcome.instructions,
-            loads=outcome.loads,
-            stores=outcome.stores,
-            energy=energy,
-            stats=self.stats.as_dict(),
-        )
-
-    def _run_columnar(
-        self, view, warmup_fraction: float, collector, entry=None, scheduler="event"
-    ) -> SimulationResult:
-        """The column-batched run: no Instruction lists anywhere in the loop.
-
-        The layout memo is warmed in one batched pass over the distinct
-        address set, the pipeline receives zero-copy ``run_slice`` windows
-        for the warm-up and measured portions, and the seq-indexed arrays
-        are built once per view and shared by both (and by every other
-        configuration running the same view).  Statistically and energetically
-        bit-identical to the object path — only the feeding changes.
-        """
-        view.precompute_decompositions(self.config.cache.layout)
-        total = len(view)
-        warmup_count = int(total * warmup_fraction)
-        params = self._pipeline_parameters()
-        # Same GC pause as the object path: the cycle loops allocate
-        # short-lived objects at a rate that keeps the cyclic collector busy
-        # for nothing.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            if warmup_count:
-                warmup_pipeline = OutOfOrderPipeline(
-                    self.interface,
-                    params=params,
-                    stats=self.stats,
-                    scheduler=scheduler,
-                    kernel=entry,
-                )
-                warmup_pipeline.run(view.run_slice(0, warmup_count))
-                self.stats.clear()
-            pipeline = OutOfOrderPipeline(
-                self.interface,
-                params=params,
-                stats=self.stats,
-                scheduler=scheduler,
-                collector=collector,
-                kernel=entry,
-            )
-            outcome = pipeline.run(view.run_slice(warmup_count, total))
+            outcome = pipeline.run(measured_input)
             self._note_kernel_outcome(entry, pipeline)
         finally:
             if gc_was_enabled:
@@ -435,22 +335,10 @@ def run_configuration(
     config: SimulationConfig,
     trace: Iterable[Instruction],
     warmup_fraction: float = 0.0,
-    collector=None,
-    frontend: Optional[str] = None,
-    kernel: Optional[str] = None,
     options: Optional[RunOptions] = None,
 ) -> SimulationResult:
-    """One-call helper: build a :class:`Simulator` for ``config`` and run ``trace``.
-
-    Prefer ``options=`` (a :class:`repro.api.RunOptions`); the loose
-    keywords remain as deprecated fallbacks, exactly as in
-    :meth:`Simulator.run`.
-    """
+    """One-call helper: build a :class:`Simulator` for ``config`` and run
+    ``trace`` with ``options`` (see :meth:`Simulator.run`)."""
     return Simulator(config).run(
-        trace,
-        warmup_fraction=warmup_fraction,
-        collector=collector,
-        frontend=frontend,
-        kernel=kernel,
-        options=options,
+        trace, warmup_fraction=warmup_fraction, options=options
     )

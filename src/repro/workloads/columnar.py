@@ -22,7 +22,7 @@ what ``repro bench``'s ``trace_columnar_decode`` scenario measures.
 
 Batched interpretation
 ----------------------
-The frontends consume the columns in bulk rather than record-at-a-time:
+The simulator consumes the columns in bulk rather than record-at-a-time:
 
 * :meth:`ColumnarTrace.precompute_decompositions` warms the address-layout
   memo over the *distinct* address set (one ``set()`` construction plus one
@@ -32,17 +32,16 @@ The frontends consume the columns in bulk rather than record-at-a-time:
   (``bytes`` scans, ``array.tolist``, a regex run-finder over the non-zero
   ``ndeps`` bytes) and is cached per view, shared by every configuration of
   a sweep;
-* the pipeline walks sequence numbers as a ``range`` — no per-instruction
-  attribute loads at fetch.
+* the specialized kernel walks sequence numbers as a ``range`` — no
+  per-instruction attribute loads at fetch.
 
-Results are **bit-identical** to the object path: the columns carry exactly
-the record fields, the pipeline consumes the same seq-indexed arrays either
-way, and stateful per-access work (TLB translation, cache banks) still
-happens access-by-access inside the interfaces.  The object path remains
-available as the differential-testing oracle — select it per call
-(``frontend="object"``) or process-wide (``REPRO_TRACE_FRONTEND=object``);
-``tests/test_columnar_differential.py`` holds the two frontends to full
-``StatCounters``-and-energy equality.
+Results are **bit-identical** to the Instruction objects the view
+materializes: the columns carry exactly the record fields, and stateful
+per-access work (TLB translation, cache banks) still happens
+access-by-access inside the interfaces.  The cycle-driven reference loop
+runs on those materialized objects (``kernel="generic"``), and
+``tests/test_kernel_differential.py`` holds the kernel on columns to full
+``StatCounters``-and-energy equality with it.
 
 Validation mirrors :func:`repro.workloads.binfmt.decode_trace`: truncated or
 oversized bodies, unknown kind codes, zero dependency distances, zero-size
@@ -75,12 +74,6 @@ from repro.workloads.binfmt import (
     read_header,
 )
 
-#: environment variable selecting the process-wide default frontend
-FRONTEND_ENV = "REPRO_TRACE_FRONTEND"
-
-#: recognised frontend names: ``columnar`` (default) and the object-path oracle
-FRONTENDS = ("columnar", "object")
-
 #: bytes per ``.rtrc`` record (kind u8, ndeps u8, size u16, address u64)
 _RECORD_SIZE = _RECORD.size
 
@@ -91,35 +84,6 @@ _VALID_KINDS = b"\x00\x01\x02"
 _DEP_RUNS = re.compile(rb"[^\x00]+")
 
 _ZERO_U32 = b"\x00\x00\x00\x00"
-
-
-def resolve_frontend(explicit: Optional[str] = None) -> str:
-    """The trace frontend to use: ``explicit`` arg > environment > default.
-
-    ``explicit`` (a ``frontend=`` parameter or a
-    :class:`repro.api.RunOptions` field) wins when given; otherwise the
-    *deprecated* ``REPRO_TRACE_FRONTEND`` environment variable is consulted
-    through :func:`repro.api.env_fallback` (which emits the
-    ``DeprecationWarning``), and the default is ``"columnar"``.  Unknown
-    names raise ``ValueError`` so a typo never silently selects the wrong
-    path.
-    """
-    value = explicit
-    if value is None:
-        # Lazy import: repro.api is a leaf module, but keeping the env
-        # plumbing out of module scope keeps import order irrelevant.
-        from repro.api import env_fallback
-
-        value = env_fallback(FRONTEND_ENV)
-    if value is None or not value.strip():
-        return FRONTENDS[0]
-    value = value.strip().lower()
-    if value not in FRONTENDS:
-        raise ValueError(
-            f"unknown trace frontend {value!r}: expected one of {FRONTENDS} "
-            f"(explicit argument or ${FRONTEND_ENV})"
-        )
-    return value
 
 
 def _check_columns(kinds: bytes, ndeps: bytes, sizes, deps_bytes, deps_len: int) -> None:
@@ -186,7 +150,7 @@ class ColumnarSlice:
         )
 
     def materialize_instructions(self) -> List[Instruction]:
-        """Instruction objects of this window (cycle-scheduler fallback)."""
+        """Instruction objects of this window (reference-loop input)."""
         return self.trace.instructions()[self.start : self.stop]
 
     def __iter__(self):
@@ -398,7 +362,7 @@ class ColumnarTrace:
         return range(total), total, total, self.pipeline_arrays()
 
     def materialize_instructions(self) -> List[Instruction]:
-        """Instruction objects of the whole trace (cycle-scheduler fallback)."""
+        """Instruction objects of the whole trace (reference-loop input)."""
         return self.instructions()
 
     def pipeline_arrays(self):

@@ -56,7 +56,7 @@ class TestCli:
             "sweep", "fig4-mini",
             "--benchmarks", "gzip", "djpeg",
             "--instructions", "500",
-            "--out", out,
+            "--store", f"json:{out}",
             "--quiet",
         ]
         assert main(argv) == 0
@@ -73,7 +73,12 @@ class TestCli:
         # A directory holding records at another trace length must not break
         # the summary: the sweep filters to its own grid parameters.
         out = str(tmp_path / "camp")
-        base = ["sweep", "fig4-mini", "--benchmarks", "gzip", "--out", out, "--quiet"]
+        base = [
+            "sweep", "fig4-mini",
+            "--benchmarks", "gzip",
+            "--store", f"json:{out}",
+            "--quiet",
+        ]
         assert main(base + ["--instructions", "400"]) == 0
         capsys.readouterr()
         assert main(base + ["--instructions", "500"]) == 0
@@ -100,6 +105,24 @@ class TestCli:
             with pytest.raises(SystemExit):
                 main(argv)
 
+    @pytest.mark.parametrize("command", ["sweep fig4-mini", "dse malec-mini"])
+    def test_out_alias_is_gone(self, command, capsys, tmp_path):
+        # ``--store json:DIR`` is the one spelling; ``--out DIR`` is a usage
+        # error now, not a silently accepted alias.
+        with pytest.raises(SystemExit) as exit_info:
+            main(command.split() + ["--out", str(tmp_path / "camp")])
+        assert exit_info.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "camp").exists()
+
+    def test_report_runs_stay_on_the_kernel(self, capsys):
+        assert main(
+            ["report", "gzip", "--config", "MALEC", "--instructions", "400"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "cycles go to" in output
+        assert "fall back" not in output and "collector attached" not in output
+
     def test_dse_unknown_space_exits_2_with_valid_names(self, capsys):
         assert main(["dse", "not-a-space"]) == 2
         err = capsys.readouterr().err
@@ -122,7 +145,7 @@ class TestCli:
             "--instructions", "300",
             "--benchmarks", "gzip", "streamwrite",
             "--jobs", "1",
-            "--out", out,
+            "--store", f"json:{out}",
             "--quiet",
         ]
         assert main(argv) == 0
@@ -251,7 +274,7 @@ class TestTraceFileSweeps:
         argv = [
             "sweep", "fig4-mini",
             "--trace-file", str(rtrc),
-            "--out", str(out), "--quiet",
+            "--store", f"json:{out}", "--quiet",
         ]
         assert main(argv) == 0
         stdout = capsys.readouterr().out

@@ -36,12 +36,7 @@ from repro.workloads.binfmt import (
     read_header,
     trace_fingerprint,
 )
-from repro.workloads.columnar import (
-    FRONTEND_ENV,
-    FRONTENDS,
-    ColumnarTrace,
-    resolve_frontend,
-)
+from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.trace import MemoryTrace
 
 try:  # pragma: no cover - which branch runs depends on the environment
@@ -333,28 +328,31 @@ class TestColumnarDirected:
 
     def test_whole_view_drives_the_pipeline(self):
         # A full ColumnarTrace (not a run_slice window) is itself a valid
-        # pipeline input under both schedulers.
+        # pipeline input for both the kernel and the reference loop.
         from repro.cpu.pipeline import OutOfOrderPipeline
-        from repro.sim.simulator import Simulator
         from repro.sim.config import SimulationConfig
+        from repro.sim.kernels import compile_kernel
+        from repro.sim.simulator import Simulator
 
+        config = SimulationConfig.malec()
         trace = random_trace(23)
         results = {}
         for frontend in ("columnar", "object"):
             cycles = {}
-            for scheduler in ("event", "cycle"):
-                simulator = Simulator(SimulationConfig.malec())
+            for kernel in ("specialized", "generic"):
+                simulator = Simulator(config)
                 pipeline = OutOfOrderPipeline(
                     simulator.interface,
                     params=simulator._pipeline_parameters(),
                     stats=simulator.stats,
-                    scheduler=scheduler,
+                    kernel=compile_kernel(config).entry if kernel == "specialized" else None,
                 )
                 source = trace.columnar() if frontend == "columnar" else list(trace)
-                cycles[scheduler] = pipeline.run(source).cycles
+                cycles[kernel] = pipeline.run(source).cycles
+                assert pipeline.kernel_used == (kernel == "specialized")
             results[frontend] = cycles
         assert results["columnar"] == results["object"]
-        assert results["columnar"]["event"] == results["columnar"]["cycle"]
+        assert results["columnar"]["specialized"] == results["columnar"]["generic"]
 
     def test_load_reads_rtrc_files(self, tmp_path):
         trace = random_trace(7)
@@ -387,25 +385,6 @@ class TestColumnarDirected:
         for seq in range(len(view)):
             assert offsets[seq + 1] - offsets[seq] == view.ndeps[seq]
         assert offsets[len(view)] == len(view.deps_pool)
-
-    def test_resolve_frontend_precedence(self, monkeypatch):
-        monkeypatch.delenv(FRONTEND_ENV, raising=False)
-        assert resolve_frontend() == "columnar"
-        monkeypatch.setenv(FRONTEND_ENV, "object")
-        assert resolve_frontend() == "object"
-        assert resolve_frontend("columnar") == "columnar"  # explicit beats env
-        monkeypatch.setenv(FRONTEND_ENV, "  Columnar  ")
-        assert resolve_frontend() == "columnar"  # trimmed, case-insensitive
-        monkeypatch.setenv(FRONTEND_ENV, "")
-        assert resolve_frontend() == "columnar"  # empty means default
-
-    def test_resolve_frontend_rejects_unknown_names(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown trace frontend"):
-            resolve_frontend("rowwise")
-        monkeypatch.setenv(FRONTEND_ENV, "vectorized")
-        with pytest.raises(ValueError, match="vectorized"):
-            resolve_frontend()
-        assert FRONTENDS == ("columnar", "object")
 
     def test_memorytrace_columnar_is_cached_until_growth(self):
         trace = random_trace(17)

@@ -4,7 +4,7 @@
 560284a) via the campaign store; every hot-path rewrite since must leave the
 records *bit-identical* — cycles, instruction/load/store counts, every
 statistics counter and every per-structure energy value.  The test drives
-the real CLI (``repro sweep fig4-mini --out <tmp>``), so it also covers the
+the real CLI (``repro sweep fig4-mini --store json:<tmp>``), so it also covers the
 executor, store serialisation and cell-key stability end to end.
 
 Regenerating the golden file is a deliberate act (a behaviour change must be
@@ -37,7 +37,7 @@ def golden() -> dict:
 def fresh_store(tmp_path_factory) -> ResultStore:
     """One fig4-mini sweep through the real CLI, persisted to a tmp store."""
     out = tmp_path_factory.mktemp("fig4_mini_store")
-    exit_code = main(["sweep", "fig4-mini", "--out", str(out), "--quiet"])
+    exit_code = main(["sweep", "fig4-mini", "--store", f"json:{out}", "--quiet"])
     assert exit_code == 0
     return ResultStore(out)
 

@@ -23,6 +23,7 @@ import json
 
 import pytest
 
+from repro.api import RunOptions
 from repro.bench import bench_history, format_history as format_bench_history
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
@@ -35,7 +36,7 @@ from repro.obs.collector import RunCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetryJournal
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import run_configuration
+from repro.sim.simulator import Simulator
 from repro.workloads.suites import benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -191,8 +192,6 @@ class TestJournal:
             kernel="specialized",
             kernel_used=True,
             kernel_fallback_reason="",
-            scheduler="event",
-            frontend="columnar",
         )
         journal.cell(
             key="def",
@@ -206,7 +205,7 @@ class TestJournal:
             cells_computed=1,
             cells_skipped=1,
             elapsed_seconds=0.5,
-            kernel_fallbacks={"collector attached": 1},
+            kernel_fallbacks={"runtime guard mismatch": 1},
             metrics=MetricsRegistry().dump(),
         )
         records = telemetry.read_journal(path)
@@ -351,8 +350,6 @@ class TestExecutorTelemetry:
             "worker_pid",
             "kernel",
             "kernel_used",
-            "scheduler",
-            "frontend",
         ):
             assert field in cell
 
@@ -417,18 +414,18 @@ class TestKernelCounters:
             kernels._CACHE.clear()
             kernels._CACHE.update(saved)
 
-    def test_collector_fallback_counter(self):
+    def test_collector_run_stays_on_the_kernel(self):
+        # Observing a run compiles the kernel's observe variant instead of
+        # falling back: no fallback counter, one extra compile.
         trace = generate_trace(benchmark_profile("gzip"), instructions=INSTRUCTIONS)
+        simulator = Simulator(SimulationConfig.malec())
         obs_metrics.enable()
-        run_configuration(
-            SimulationConfig.malec(),
-            trace,
-            warmup_fraction=0.25,
-            collector=RunCollector(),
-            kernel="specialized",
+        simulator.run(
+            trace, warmup_fraction=0.25, options=RunOptions(collector=RunCollector())
         )
+        assert simulator.kernel_used
         snapshot = obs_metrics.registry.snapshot()
-        assert snapshot["kernel.fallback.collector_attached"] == 1
+        assert not [name for name in snapshot if name.startswith("kernel.fallback")]
 
 
 # ----------------------------------------------------------------------
