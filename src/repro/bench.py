@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
-from repro.campaign.spec import campaign_preset
+from repro.campaign.spec import CampaignSpec, campaign_preset
 from repro.obs.hostinfo import detect_revision, host_metadata
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import run_configuration
@@ -249,6 +249,38 @@ def bench_fig4_mini_sweep_serial(instructions: int, repeats: int) -> ScenarioRes
     return ScenarioResult(name="fig4_mini_sweep_serial", runs=runs, details=details)
 
 
+#: footprints beyond the L1, the uTLB and the TLB: the miss paths' workloads
+MISS_BENCHMARKS = ("mcf", "ptrchase", "tlbthrash")
+
+
+def bench_fig4_misses_sweep_serial(instructions: int, repeats: int) -> ScenarioResult:
+    """Time the Fig. 4 configurations on the miss-heavy workloads, serially.
+
+    ``fig4_mini_sweep_serial``'s working sets mostly fit the L1, so its time
+    is the kernels' hit paths; ``mcf``, ``ptrchase`` and ``tlbthrash`` spend
+    theirs in the L1/L2/DRAM miss path and the TLB refill, which this
+    scenario puts under the regression gate.
+    """
+    spec = CampaignSpec(
+        name="fig4-misses",
+        configurations=tuple(SimulationConfig.figure4_suite()),
+        benchmarks=MISS_BENCHMARKS,
+        instructions=instructions,
+    )
+
+    def workload() -> Dict[str, object]:
+        executor = ParallelExecutor(jobs=1)
+        results = executor.run(spec)
+        return {
+            "benchmarks": len(results.runs),
+            "instructions": instructions,
+            "cells": len(spec.cells()),
+        }
+
+    runs, details = _time_repeats(repeats, workload)
+    return ScenarioResult(name="fig4_misses_sweep_serial", runs=runs, details=details)
+
+
 def bench_trace_decode(instructions: int, repeats: int) -> ScenarioResult:
     """Time decoding a trace from ``.rtrc`` (the pool-worker payload path).
 
@@ -371,6 +403,7 @@ SCENARIO_NAMES = (
     "single_config_run_kernel",
     "fig4_mini_sweep",
     "fig4_mini_sweep_serial",
+    "fig4_misses_sweep_serial",
     "figure4_gzip_djpeg_mcf",
     "trace_decode_rtrc",
     "trace_columnar_decode",
@@ -388,6 +421,9 @@ def _scenario_builders(instructions: int, sweep_instructions: int, repeats: int)
             sweep_instructions, repeats
         ),
         "fig4_mini_sweep_serial": lambda: bench_fig4_mini_sweep_serial(
+            sweep_instructions, repeats
+        ),
+        "fig4_misses_sweep_serial": lambda: bench_fig4_misses_sweep_serial(
             sweep_instructions, repeats
         ),
         "figure4_gzip_djpeg_mcf": lambda: bench_figure4_acceptance(

@@ -22,7 +22,7 @@ from repro.cache.replacement import (
     TreePLRUReplacement,
     make_replacement_policy,
 )
-from repro.cache.set_assoc import CacheLineState, LookupResult, SetAssociativeArray
+from repro.cache.set_assoc import SetAssociativeArray
 from repro.cache.cache_bank import BankAccessResult, CacheBank
 from repro.cache.l1_cache import L1AccessOutcome, L1DataCache
 from repro.cache.l2_cache import L2Cache
@@ -34,8 +34,6 @@ __all__ = [
     "SecondChanceReplacement",
     "TreePLRUReplacement",
     "make_replacement_policy",
-    "CacheLineState",
-    "LookupResult",
     "SetAssociativeArray",
     "BankAccessResult",
     "CacheBank",

@@ -20,9 +20,9 @@ enforced by the interface models.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.cache.set_assoc import EvictionRecord, SetAssociativeArray
+from repro.cache.set_assoc import SetAssociativeArray
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
@@ -92,6 +92,11 @@ class CacheBank:
     restrict_way_allocation:
         When True, line fills avoid the "excluded" way of the 2-bit way-table
         encoding (Sec. V) so every resident line is representable by the WT.
+
+    The bank's lines live in :attr:`array` (LRU).  Misses are handled by
+    :meth:`repro.cache.l1_cache.L1DataCache._miss`, which fills the bank's
+    slabs directly; :meth:`fill` is the bank-level operation without the
+    L2 and way-determination side of a miss.
     """
 
     def __init__(
@@ -100,27 +105,19 @@ class CacheBank:
         layout: AddressLayout = DEFAULT_LAYOUT,
         read_ports: int = 1,
         write_ports: int = 1,
-        replacement: str = "lru",
-        seed: int = 0,
         stats: Optional[StatCounters] = None,
         restrict_way_allocation: bool = False,
-        on_evict: Optional[Callable[[int, int], None]] = None,
-        on_fill: Optional[Callable[[int, int], None]] = None,
     ) -> None:
+        if restrict_way_allocation and layout.l1_associativity == 1:
+            raise ValueError("cannot exclude every way of a set")
         self.bank_index = bank_index
         self.layout = layout
         self.read_ports = read_ports
         self.write_ports = write_ports
         self.stats = stats if stats is not None else StatCounters()
         self.restrict_way_allocation = restrict_way_allocation
-        self._on_evict = on_evict
-        self._on_fill = on_fill
         self.array = SetAssociativeArray(
-            num_sets=layout.l1_sets_per_bank,
-            ways=layout.l1_associativity,
-            replacement=replacement,
-            seed=seed,
-            on_evict=self._handle_eviction,
+            num_sets=layout.l1_sets_per_bank, ways=layout.l1_associativity
         )
         # Per-access counters resolved to integer slots once (hot path).
         stats = self.stats
@@ -154,6 +151,11 @@ class CacheBank:
             (self._h_tag_read, ways),
             (self._h_conventional_access, 1),
         )
+        self._combo_reduced_write = (
+            (self._h_ctrl, 1),
+            (self._h_data_write, 1),
+            (self._h_reduced_access, 1),
+        )
         self._combo_fill = (
             (self._h_ctrl, 1),
             (self._h_fill, 1),
@@ -164,21 +166,15 @@ class CacheBank:
     # ------------------------------------------------------------------
     # Address helpers
     # ------------------------------------------------------------------
-    def _check_bank(self, physical_address: int) -> None:
-        if self.layout.decompose(physical_address).bank_index != self.bank_index:
+    def _parts(self, physical_address: int):
+        """Field split of an address this bank owns (else ``ValueError``)."""
+        parts = self.layout.decompose(physical_address)
+        if parts.bank_index != self.bank_index:
             raise ValueError(
                 f"address {physical_address:#x} belongs to bank "
-                f"{self.layout.bank_index(physical_address)}, not {self.bank_index}"
+                f"{parts.bank_index}, not {self.bank_index}"
             )
-
-    def _line_address_from(self, set_index: int, tag: int) -> int:
-        """Rebuild the line-granular physical address of a stored line."""
-        line_number = (
-            (tag << (self.layout.bank_bits + self.layout.set_bits))
-            | (set_index << self.layout.bank_bits)
-            | self.bank_index
-        )
-        return self.layout.address_of_line(line_number)
+        return parts
 
     def excluded_way_for(self, physical_address: int) -> Optional[int]:
         """Way that the 2-bit way-table format cannot express for this line.
@@ -195,22 +191,6 @@ class CacheBank:
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _handle_eviction(self, record: EvictionRecord) -> None:
-        address = self._line_address_from(record.set_index, record.tag)
-        self.stats.bump(self._h_eviction)
-        if record.dirty:
-            self.stats.bump(self._h_writeback)
-        if self._on_evict is not None:
-            self._on_evict(address, record.way)
-
-    def lookup(self, physical_address: int, update_replacement: bool = True):
-        """Tag lookup only (no energy events); used by fills and tests."""
-        self._check_bank(physical_address)
-        parts = self.layout.decompose(physical_address)
-        return self.array.lookup(
-            parts.set_index, parts.tag, update_replacement=update_replacement
-        )
-
     def read(
         self,
         physical_address: int,
@@ -225,9 +205,7 @@ class CacheBank:
         assumption that doubles merge opportunities); it only affects event
         accounting, not hit/miss behaviour.
         """
-        parts = self.layout.decompose(physical_address)
-        if parts.bank_index != self.bank_index:
-            self._check_bank(physical_address)
+        parts = self._parts(physical_address)
         hit, way, reduced, hint_wrong = self.read_parts(
             parts.set_index, parts.tag, way_hint, paired_subblock
         )
@@ -247,35 +225,31 @@ class CacheBank:
         Returns ``(hit, way, reduced, way_hint_wrong)``.
         """
         stats = self.stats
+        array = self.array
+        base = set_index * array.ways
+        slot = array._where.get(tag * array.num_sets + set_index)
+        hint_wrong = False
         if way_hint is not None:
             # Reduced access: tag arrays bypassed, single data array read.
-            # (Direct set access: way hints come from way tables/WDU and are
-            # in range by construction; the set exists because a hint implies
-            # an earlier fill touched it.)
-            line = self.array._lines(set_index)[way_hint]
             stats.bump_many(self._combo_reduced_read)
             if paired_subblock:
                 stats.bump(self._h_subblock_pair_read)
-            if line.valid and line.tag == tag:
-                self.array.find_way(set_index, tag)  # refresh replacement state
+            if slot == base + way_hint:
+                array._stamp[slot] = array._tick()
                 return True, way_hint, True, False
             # A wrong hint requires a second, conventional access; way tables
             # never produce this (validity is tracked), but WDU-style
             # predictors might.
             stats.bump(self._h_way_hint_wrong)
-            hit, way, reduced, _ = self.read_parts(
-                set_index, tag, None, paired_subblock
-            )
-            return hit, way, reduced, True
-
+            hint_wrong = True
         # Conventional access: all tag arrays and all data arrays probed.
         stats.bump_many(self._combo_conv_read)
         if paired_subblock:
             stats.bump(self._h_subblock_pair_read)
-        way = self.array.find_way(set_index, tag)
-        if way is not None:
-            return True, way, False, False
-        return False, None, False, False
+        if slot is None:
+            return False, None, False, hint_wrong
+        array._stamp[slot] = array._tick()
+        return True, slot - base, False, hint_wrong
 
     def write(self, physical_address: int, way_hint: Optional[int] = None) -> BankAccessResult:
         """Service a store (or merge-buffer eviction) that writes the cache.
@@ -284,9 +258,7 @@ class CacheBank:
         hint the tag arrays are probed first, with a valid hint the probe is
         skipped (reduced store).
         """
-        parts = self.layout.decompose(physical_address)
-        if parts.bank_index != self.bank_index:
-            self._check_bank(physical_address)
+        parts = self._parts(physical_address)
         hit, way, reduced = self.write_parts(parts.set_index, parts.tag, way_hint)
         return BankAccessResult(hit=hit, way=way, reduced=reduced)
 
@@ -296,33 +268,42 @@ class CacheBank:
         Returns ``(hit, way, reduced)``.
         """
         stats = self.stats
+        array = self.array
+        base = set_index * array.ways
+        slot = array._where.get(tag * array.num_sets + set_index)
         if way_hint is not None:
-            line = self.array._lines(set_index)[way_hint]
-            if line.valid and line.tag == tag:
-                stats.bump(self._h_ctrl)
-                stats.bump(self._h_data_write, 1)
-                stats.bump(self._h_reduced_access)
-                self.array.mark_dirty(set_index, way_hint)
-                self.array.find_way(set_index, tag)
+            if slot == base + way_hint:
+                stats.bump_many(self._combo_reduced_write)
+                array._dirty[slot] = 1
+                array._stamp[slot] = array._tick()
                 return True, way_hint, True
             stats.bump(self._h_way_hint_wrong)
 
         stats.bump_many(self._combo_conv_write)
-        way = self.array.find_way(set_index, tag)
-        if way is not None:
-            stats.bump(self._h_data_write, 1)
-            self.array.mark_dirty(set_index, way)
-            return True, way, False
-        return False, None, False
+        if slot is None:
+            return False, None, False
+        stats.bump(self._h_data_write, 1)
+        array._dirty[slot] = 1
+        array._stamp[slot] = array._tick()
+        return True, slot - base, False
 
     def fill(self, physical_address: int, dirty: bool = False) -> BankAccessResult:
-        """Install the line containing ``physical_address`` after a miss."""
-        parts = self.layout.decompose(physical_address)
-        if parts.bank_index != self.bank_index:
-            self._check_bank(physical_address)
-        way, evicted_address, evicted_dirty = self.fill_parts(
-            physical_address, parts.set_index, parts.tag, dirty
+        """Install the line containing ``physical_address`` (bank side only)."""
+        parts = self._parts(physical_address)
+        set_index = parts.set_index
+        way, evicted_tag, evicted_dirty = self.array.fill(
+            set_index,
+            parts.tag,
+            dirty=dirty,
+            excluded_way=self.excluded_way_for(physical_address),
         )
+        evicted_address = None
+        if evicted_tag is not None:
+            evicted_address = self.line_address_of(set_index, evicted_tag)
+            self.stats.bump(self._h_eviction)
+            if evicted_dirty:
+                self.stats.bump(self._h_writeback)
+        self.stats.bump_many(self._combo_fill)
         return BankAccessResult(
             hit=True,
             way=way,
@@ -331,33 +312,22 @@ class CacheBank:
             evicted_dirty=evicted_dirty,
         )
 
-    def fill_parts(self, physical_address: int, set_index: int, tag: int, dirty: bool):
-        """Allocation-free core of :meth:`fill` for pre-decomposed callers.
-
-        Returns ``(way, evicted_line_address, evicted_dirty)``.
-        """
-        excluded = self.excluded_way_for(physical_address)
-        evicted_address: Optional[int] = None
-        evicted_dirty = False
-        way, eviction = self.array.fill(
-            set_index, tag, dirty=dirty, excluded_way=excluded
-        )
-        if eviction is not None:
-            evicted_address = self._line_address_from(eviction.set_index, eviction.tag)
-            evicted_dirty = eviction.dirty
-        self.stats.bump_many(self._combo_fill)
-        if self._on_fill is not None:
-            self._on_fill(self.layout.line_address(physical_address), way)
-        return way, evicted_address, evicted_dirty
-
-    def contains(self, physical_address: int) -> bool:
-        """True if the line holding ``physical_address`` is resident."""
-        return self.lookup(physical_address, update_replacement=False).hit
+    def line_address_of(self, set_index: int, tag: int) -> int:
+        """Line-granular physical address of the line ``tag`` in ``set_index``."""
+        layout = self.layout
+        line_number = (
+            (tag * self.array.num_sets + set_index) << layout.bank_bits
+        ) | self.bank_index
+        return line_number << layout.line_offset_bits
 
     def way_of(self, physical_address: int) -> Optional[int]:
         """Way currently holding ``physical_address`` or ``None``."""
-        result = self.lookup(physical_address, update_replacement=False)
-        return result.way if result.hit else None
+        parts = self._parts(physical_address)
+        return self.array.probe(parts.set_index, parts.tag)
+
+    def contains(self, physical_address: int) -> bool:
+        """True if the line holding ``physical_address`` is resident."""
+        return self.way_of(physical_address) is not None
 
     def occupancy(self) -> int:
         """Number of valid lines in this bank."""

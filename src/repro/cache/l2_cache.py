@@ -36,9 +36,7 @@ class L2Cache:
         latency_cycles: int = 12,
         layout: AddressLayout = DEFAULT_LAYOUT,
         dram: Optional[DRAMModel] = None,
-        replacement: str = "lru",
         stats: Optional[StatCounters] = None,
-        seed: int = 0,
     ) -> None:
         if capacity_bytes % (associativity * layout.line_bytes):
             raise ValueError("L2 capacity must divide into ways and lines")
@@ -48,62 +46,72 @@ class L2Cache:
         self.dram = dram if dram is not None else DRAMModel(layout=layout, stats=self.stats)
         self.num_sets = capacity_bytes // (associativity * layout.line_bytes)
         self.associativity = associativity
-        # Power-of-two set counts (the default geometry) split with masks.
-        if self.num_sets & (self.num_sets - 1) == 0:
-            self._set_mask = self.num_sets - 1
-            self._set_bits = self.num_sets.bit_length() - 1
-        else:
-            self._set_mask = None
-            self._set_bits = 0
-        self.array = SetAssociativeArray(
-            num_sets=self.num_sets,
-            ways=associativity,
-            replacement=replacement,
-            seed=seed,
-        )
+        self.array = SetAssociativeArray(num_sets=self.num_sets, ways=associativity)
         # Per-access counters resolved to integer slots once (hot path).
         self._h_access = self.stats.handle("l2.access")
         self._h_hit = self.stats.handle("l2.hit")
         self._h_miss = self.stats.handle("l2.miss")
         self._h_writeback = self.stats.handle("l2.writeback")
-        # Fixed per-access counter patterns, flushed with one bump_many call.
+        # Fixed per-access counter patterns.
         self._combo_hit = ((self._h_access, 1), (self._h_hit, 1))
         self._combo_miss = ((self._h_access, 1), (self._h_miss, 1))
+        self._line_shift = layout.line_offset_bits
 
     # ------------------------------------------------------------------
-    def _set_and_tag(self, physical_address: int) -> tuple[int, int]:
-        line = self.layout.line_number(physical_address)
-        if self._set_mask is not None:
-            return line & self._set_mask, line >> self._set_bits
-        return line % self.num_sets, line // self.num_sets
-
     def access(self, physical_address: int, is_write: bool = False) -> int:
         """Access the L2 for a line; returns the total latency in cycles.
 
-        On a miss the line is fetched from DRAM and installed; dirty victims
-        are written back (counted, latency not added — write-backs are off the
-        critical path).
+        On a miss the line is fetched from DRAM and installed over the set's
+        LRU victim (the smallest stamp, see :mod:`repro.cache.set_assoc`); a
+        dirty victim is written back to DRAM under its own address (counted,
+        latency not added — write-backs are off the critical path).
+        Allocation-free: the L1 miss path calls this once per L1 miss and
+        once per dirty L1 victim.
         """
-        set_index, tag = self._set_and_tag(physical_address)
-        way = self.array.find_way(set_index, tag)
-        if way is not None:
-            self.stats.bump_many(self._combo_hit)
+        if not 0 <= physical_address <= self.layout.max_address:
+            self.layout.check(physical_address)
+        line = physical_address >> self._line_shift
+        array = self.array
+        slot = array._where.get(line)
+        values = self.stats._values
+        live = self.stats._live
+        for handle, amount in self._combo_miss if slot is None else self._combo_hit:
+            values[handle] += amount
+            live[handle] = True
+        if slot is not None:
+            array._stamp[slot] = array._tick()
             if is_write:
-                self.array.mark_dirty(set_index, way)
+                array._dirty[slot] = 1
             return self.latency_cycles
 
-        self.stats.bump_many(self._combo_miss)
         dram_latency = self.dram.read(physical_address)
-        _, eviction = self.array.fill(set_index, tag, dirty=is_write)
-        if eviction is not None and eviction.dirty:
-            self.stats.bump(self._h_writeback)
-            self.dram.write(physical_address)
+        num_sets = self.num_sets
+        set_index = line % num_sets
+        base = set_index * array.ways
+        recency = array._stamp[base : base + array.ways]
+        slot = base + recency.index(min(recency))
+        evicted_line = None
+        if array._valid[slot]:
+            evicted_line = array._tags[slot] * num_sets + set_index
+            del array._where[evicted_line]
+            if not array._dirty[slot]:
+                evicted_line = None
+        else:
+            array._valid[slot] = 1
+        array._tags[slot] = line // num_sets
+        array._dirty[slot] = is_write
+        array._stamp[slot] = array._tick()
+        array._where[line] = slot
+        if evicted_line is not None:
+            values[self._h_writeback] += 1
+            live[self._h_writeback] = True
+            self.dram.write(evicted_line << self._line_shift)
         return self.latency_cycles + dram_latency
 
     def contains(self, physical_address: int) -> bool:
         """True when the line is resident in the L2."""
-        set_index, tag = self._set_and_tag(physical_address)
-        return self.array.lookup(set_index, tag, update_replacement=False).hit
+        line = self.layout.line_number(physical_address)
+        return self.array.probe(line % self.num_sets, line // self.num_sets) is not None
 
     @property
     def miss_rate(self) -> float:

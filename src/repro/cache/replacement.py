@@ -1,18 +1,19 @@
-"""Replacement policies for set-associative structures.
+"""Replacement policies for the fully-associative TLBs.
 
-The reproduction needs several policies:
+The paper's TLB hierarchy uses:
 
-* **LRU** for the L1 data cache and L2 (a common, deterministic default).
-* **Tree-PLRU** as a cheaper alternative used in ablations.
 * **Random** for the main TLB (Sec. V: "random replacement for the TLB").
 * **Second chance** for the uTLB (Sec. V chooses it specifically to reduce
   the number of full uWT→WT entry transfers on eviction).
 
-All policies operate on way indices of a single set and are owned by that
-set's container; they do not know about addresses.  The L1 additionally
-supports *excluded ways*: Page-Based Way Determination encodes way+validity
-in 2 bits by declaring one specific way per line group "unknown" (Sec. V), so
-the cache may be asked to avoid allocating a line into its excluded way.
+**LRU** and **tree-PLRU** are available to a standalone
+:class:`repro.tlb.tlb.TLB` as well.  The caches do not use this module: they
+are true LRU, encoded in the stamps of :mod:`repro.cache.set_assoc`.
+
+All policies operate on the slot (way) indices of one structure and do not
+know about addresses.  ``victim`` also accepts an *excluded way*, the rule
+Page-Based Way Determination needs: its 2-bit encoding declares one way per
+line group "unknown" (Sec. V), so an allocation may have to avoid it.
 """
 
 from __future__ import annotations

@@ -1,145 +1,92 @@
-"""Generic set-associative storage array.
+"""Generic set-associative storage array, held in flat slabs.
 
 :class:`SetAssociativeArray` implements the bookkeeping shared by the L1
-banks, the L2 cache and (as a degenerate fully-associative case) the TLBs:
-tag match, fill with victim selection, eviction and explicit invalidation.
-It stores *metadata only* — the reproduction is a timing/energy model, so no
-actual data bytes are kept, only tags, validity, dirtiness and an optional
-opaque payload (used e.g. by the TLB to hold translations).
+banks and the L2 cache: tag match, fill with victim selection, eviction and
+explicit invalidation.  It stores *metadata only* — the reproduction is a
+timing/energy model, so no data bytes are kept, only tags, validity,
+dirtiness and LRU recency.
+
+State layout
+------------
+Every per-line field lives in one preallocated slab indexed by
+``slot = set_index * ways + way``:
+
+* ``_tags`` — the tag of the line in each slot (meaningful while valid);
+* ``_valid`` / ``_dirty`` — one byte per slot (``bytearray``);
+* ``_stamp`` — LRU recency: the array's stamp counter value at the slot's
+  last use.  The victim of a set is the way with the smallest stamp.
+
+``_tags`` and ``_stamp`` are ``array('q')`` slabs: a 1 MByte L2 has 16 K
+slots, and building a 64-bit array by repetition is a copy, where a list of
+that size costs a reference-count update per slot at every construction.
+
+``_where`` maps a line key ``tag * num_sets + set_index`` (the line number
+within the array) to its slot, so a lookup is one dict probe.
+
+The stamps reproduce a per-set true-LRU recency stack that prefers invalid
+ways, exactly:
+
+* every use writes the next value of a counter shared by all sets (from 0
+  up), which moves the way to the top of its set's order, so stamps are
+  unique within a set and sorting a valid set by stamp gives the stack;
+* a never-used way starts at ``NEW_WAY - way``, so a fresh set orders way 0
+  first and the last way last, the initial order of the stack;
+* invalidating a line subtracts ``INVALIDATED`` from its stamp: it keeps its
+  place among the invalid ways, but sinks below every valid way.
+
+Invalid ways thus always carry the smallest stamps of their set, ordered as
+the stack orders them, and "the least recently used invalid way, else the
+least recently used way" is simply the smallest stamp.  An excluded way is
+masked with ``NEVER_VICTIM`` (the largest 64-bit value) before taking the
+minimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from array import array
+from itertools import count
+from typing import List, Optional, Tuple
 
-from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
+#: stamp that loses every LRU comparison (masks an excluded way)
+NEVER_VICTIM = (1 << 63) - 1
+#: stamp of way 0 of a never-used set (way ``w`` starts at ``NEW_WAY - w``)
+NEW_WAY = -(1 << 62) - 1
+#: offset that sinks an invalidated line below every valid line, but above
+#: every never-used way
+INVALIDATED = 1 << 61
 
-
-class CacheLineState:
-    """State of a single way within a set (slotted: one per resident line)."""
-
-    __slots__ = ("valid", "dirty", "tag", "payload")
-
-    def __init__(
-        self,
-        valid: bool = False,
-        dirty: bool = False,
-        tag: int = 0,
-        payload: Any = None,
-    ) -> None:
-        self.valid = valid
-        self.dirty = dirty
-        self.tag = tag
-        self.payload = payload
-
-    def reset(self) -> None:
-        """Invalidate the line and clear its payload."""
-        self.valid = False
-        self.dirty = False
-        self.tag = 0
-        self.payload = None
-
-
-class LookupResult:
-    """Outcome of a tag lookup in one set (slotted: one per lookup)."""
-
-    __slots__ = ("hit", "way", "line")
-
-    def __init__(
-        self,
-        hit: bool,
-        way: Optional[int] = None,
-        line: Optional[CacheLineState] = None,
-    ) -> None:
-        self.hit = hit
-        self.way = way
-        self.line = line
-
-
-@dataclass
-class EvictionRecord:
-    """Description of a line displaced by a fill."""
-
-    set_index: int
-    way: int
-    tag: int
-    dirty: bool
-    payload: Any = None
+_ZERO = array("q", [0])
+#: ways -> the stamps of one never-used set (repeated per set)
+_FRESH_SET: dict = {}
 
 
 class SetAssociativeArray:
     """A set-associative array of ``num_sets`` sets with ``ways`` ways each.
 
-    Parameters
-    ----------
-    num_sets:
-        Number of sets (1 gives a fully-associative structure).
-    ways:
-        Associativity.
-    replacement:
-        Replacement policy name understood by
-        :func:`repro.cache.replacement.make_replacement_policy`.
-    seed:
-        Seed forwarded to stochastic replacement policies.
-    on_evict:
-        Optional callback invoked with an :class:`EvictionRecord` whenever a
-        valid line is displaced or invalidated.  The L1 uses it to keep the
-        way tables coherent (Sec. V: validity bits are reset on evictions).
+    Replacement is true LRU, preferring invalid ways; an optional
+    ``excluded_way`` on :meth:`fill` supports the 2-bit way-table encoding
+    (Sec. V), which cannot name one way per line group.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        replacement: str = "lru",
-        seed: int = 0,
-        on_evict: Optional[Callable[[EvictionRecord], None]] = None,
-    ) -> None:
+    def __init__(self, num_sets: int, ways: int) -> None:
         if num_sets <= 0:
             raise ValueError("num_sets must be positive")
         if ways <= 0:
             raise ValueError("ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self.on_evict = on_evict
-        self._replacement = replacement
-        self._seed = seed
-        # Sets are materialised lazily on first touch: a 1 MByte L2 would
-        # otherwise allocate 16 K line-state objects and 1 K policies per
-        # simulator even though short runs touch a fraction of them.  Each
-        # set's replacement policy is still seeded ``seed + set_index``, so
-        # lazy construction is bit-identical to the eager one.
-        self._sets: Dict[int, List[CacheLineState]] = {}
-        self._policies: Dict[int, ReplacementPolicy] = {}
-        # Per-set tag -> way index, kept coherent by every mutator; lookups
-        # are a dict probe instead of an O(ways) scan over line objects.
-        # (All line-state mutation flows through fill/mark_dirty/invalidate*,
-        # so the index can never go stale.)  len(tags) doubles as the set's
-        # valid count, so the steady-state fill path skips mask building.
-        self._tags: Dict[int, Dict[int, int]] = {}
-        # Validate the policy name eagerly (and keep the error site here):
-        make_replacement_policy(replacement, ways, seed=seed)
-
-    # ------------------------------------------------------------------
-    # Lazy set materialisation
-    # ------------------------------------------------------------------
-    def _lines(self, set_index: int) -> List[CacheLineState]:
-        """The ways of ``set_index``, materialising the set on first touch."""
-        lines = self._sets.get(set_index)
-        if lines is None:
-            lines = self._sets[set_index] = [CacheLineState() for _ in range(self.ways)]
-            self._tags[set_index] = {}
-        return lines
-
-    def _policy(self, set_index: int) -> ReplacementPolicy:
-        """The replacement policy of ``set_index`` (lazily constructed)."""
-        policy = self._policies.get(set_index)
-        if policy is None:
-            policy = self._policies[set_index] = make_replacement_policy(
-                self._replacement, self.ways, seed=self._seed + set_index
-            )
-        return policy
+        slots = num_sets * ways
+        fresh = _FRESH_SET.get(ways)
+        if fresh is None:
+            fresh = _FRESH_SET[ways] = array("q", range(NEW_WAY, NEW_WAY - ways, -1))
+        self._tags = _ZERO * slots
+        self._valid = bytearray(slots)
+        self._dirty = bytearray(slots)
+        self._stamp = fresh * num_sets
+        #: next LRU stamp (a C-level counter: one call, no attribute writes)
+        self._tick = count().__next__
+        #: line key (tag * num_sets + set_index) -> slot of every valid line
+        self._where: dict = {}
 
     # ------------------------------------------------------------------
     # Queries
@@ -148,61 +95,81 @@ class SetAssociativeArray:
         if set_index < 0 or set_index >= self.num_sets:
             raise ValueError(f"set index {set_index} outside 0..{self.num_sets - 1}")
 
-    def lookup(self, set_index: int, tag: int, update_replacement: bool = True) -> LookupResult:
-        """Search ``set_index`` for ``tag``; optionally record the use."""
-        self._check_set(set_index)
-        tags = self._tags.get(set_index)
-        way = tags.get(tag) if tags is not None else None
-        if way is None:
-            return LookupResult(hit=False)
-        if update_replacement:
-            self._policy(set_index).touch(way)
-        return LookupResult(hit=True, way=way, line=self._sets[set_index][way])
-
-    def find_way(self, set_index: int, tag: int, update_replacement: bool = True):
-        """Way index holding ``tag`` or ``None`` — :meth:`lookup` without the
-        result object, for callers on the per-access hot path."""
-        self._check_set(set_index)
-        tags = self._tags.get(set_index)
-        way = tags.get(tag) if tags is not None else None
-        if way is None:
-            return None
-        if update_replacement:
-            self._policy(set_index).touch(way)
-        return way
-
-    def probe(self, set_index: int, tag: int) -> LookupResult:
-        """Lookup without disturbing replacement state (used by tests/tools)."""
-        return self.lookup(set_index, tag, update_replacement=False)
-
-    def line(self, set_index: int, way: int) -> CacheLineState:
-        """Direct access to the state of one way."""
-        self._check_set(set_index)
+    def _check_way(self, way: int) -> None:
         if way < 0 or way >= self.ways:
             raise ValueError(f"way {way} outside 0..{self.ways - 1}")
-        return self._lines(set_index)[way]
+
+    def find_way(self, set_index: int, tag: int, update_replacement: bool = True):
+        """Way holding ``tag`` in ``set_index`` or ``None``; a hit counts as a
+        use for replacement unless ``update_replacement`` is false."""
+        self._check_set(set_index)
+        slot = self._where.get(tag * self.num_sets + set_index)
+        if slot is None:
+            return None
+        if update_replacement:
+            self._stamp[slot] = self._tick()
+        return slot - set_index * self.ways
+
+    def probe(self, set_index: int, tag: int):
+        """:meth:`find_way` without disturbing replacement state."""
+        return self.find_way(set_index, tag, update_replacement=False)
+
+    def is_valid(self, set_index: int, way: int) -> bool:
+        """Whether ``way`` of ``set_index`` holds a line."""
+        self._check_set(set_index)
+        self._check_way(way)
+        return bool(self._valid[set_index * self.ways + way])
+
+    def is_dirty(self, set_index: int, way: int) -> bool:
+        """Dirty bit of ``way`` in ``set_index``."""
+        self._check_set(set_index)
+        self._check_way(way)
+        return bool(self._dirty[set_index * self.ways + way])
+
+    def tag_of(self, set_index: int, way: int) -> Optional[int]:
+        """Tag held by ``way`` of ``set_index`` (``None`` when invalid)."""
+        if not self.is_valid(set_index, way):
+            return None
+        return self._tags[set_index * self.ways + way]
 
     def valid_mask(self, set_index: int) -> List[bool]:
         """Validity of each way in ``set_index``."""
         self._check_set(set_index)
-        lines = self._sets.get(set_index)
-        if lines is None:
-            return [False] * self.ways
-        return [line.valid for line in lines]
+        base = set_index * self.ways
+        return [bool(flag) for flag in self._valid[base : base + self.ways]]
+
+    def valid_tags(self, set_index: int) -> List[int]:
+        """Tags of the valid lines of ``set_index``, in way order."""
+        self._check_set(set_index)
+        base = set_index * self.ways
+        return [
+            self._tags[slot]
+            for slot in range(base, base + self.ways)
+            if self._valid[slot]
+        ]
 
     def occupancy(self) -> int:
         """Total number of valid lines across the whole array."""
-        return sum(
-            1 for ways in self._sets.values() for line in ways if line.valid
-        )
+        return len(self._where)
 
-    def valid_tags(self, set_index: int) -> List[int]:
-        """Tags of all valid lines in a set (helper for invariants in tests)."""
-        self._check_set(set_index)
-        lines = self._sets.get(set_index)
-        if lines is None:
-            return []
-        return [line.tag for line in lines if line.valid]
+    # ------------------------------------------------------------------
+    # Replacement
+    # ------------------------------------------------------------------
+    def victim(self, set_index: int, excluded_way: Optional[int] = None) -> int:
+        """Way a fill of ``set_index`` would replace (no state change).
+
+        The least recently used invalid way that is not ``excluded_way``;
+        when every allowed way is valid, the least recently used allowed way
+        (see the module docstring for why that is the smallest stamp).
+        """
+        ways = self.ways
+        if excluded_way is not None and ways == 1:
+            raise ValueError("cannot exclude every way of a set")
+        base = set_index * ways
+        recency = self._stamp[base : base + ways]
+        if excluded_way is not None:
+            recency[excluded_way] = NEVER_VICTIM
+        return recency.index(min(recency))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -211,93 +178,71 @@ class SetAssociativeArray:
         self,
         set_index: int,
         tag: int,
-        payload: Any = None,
         dirty: bool = False,
         excluded_way: Optional[int] = None,
         preferred_way: Optional[int] = None,
-    ) -> tuple[int, Optional[EvictionRecord]]:
-        """Insert ``tag`` into ``set_index`` and return ``(way, eviction)``.
+    ) -> Tuple[int, Optional[int], bool]:
+        """Insert ``tag`` into ``set_index``.
 
-        If the tag is already present its payload/dirtiness are refreshed in
-        place.  Otherwise a victim is chosen (honouring ``excluded_way`` and
-        ``preferred_way``) and, if it held a valid line, an
-        :class:`EvictionRecord` is produced and the ``on_evict`` callback
-        fired.
+        Returns ``(way, evicted_tag, evicted_dirty)``; ``evicted_tag`` is
+        ``None`` when no valid line was displaced.  A tag already present is
+        touched and its dirty bit OR-ed with ``dirty`` in place.  Otherwise
+        the victim is ``preferred_way`` if given, else :meth:`victim`.
         """
         self._check_set(set_index)
-        lines = self._lines(set_index)
-        tags = self._tags[set_index]
-        existing_way = tags.get(tag)
-        if existing_way is not None:
-            self._policy(set_index).touch(existing_way)
-            line = lines[existing_way]
-            line.payload = payload if payload is not None else line.payload
-            line.dirty = line.dirty or dirty
-            return existing_way, None
+        key = tag * self.num_sets + set_index
+        base = set_index * self.ways
+        slot = self._where.get(key)
+        if slot is not None:
+            self._stamp[slot] = self._tick()
+            if dirty:
+                self._dirty[slot] = 1
+            return slot - base, None, False
 
-        policy = self._policy(set_index)
         if preferred_way is not None:
             if preferred_way == excluded_way:
                 raise ValueError("preferred way conflicts with excluded way")
+            self._check_way(preferred_way)
             way = preferred_way
-        elif excluded_way is None and len(tags) == self.ways:
-            # Steady state (every way valid, nothing excluded): skip the mask.
-            way = policy.victim_full()
         else:
-            way = policy.victim([line.valid for line in lines], excluded_way=excluded_way)
-        line = lines[way]
-
-        eviction: Optional[EvictionRecord] = None
-        if line.valid:
-            eviction = EvictionRecord(
-                set_index=set_index,
-                way=way,
-                tag=line.tag,
-                dirty=line.dirty,
-                payload=line.payload,
-            )
-            del tags[line.tag]
-            if self.on_evict is not None:
-                self.on_evict(eviction)
-
-        line.valid = True
-        line.tag = tag
-        line.dirty = dirty
-        line.payload = payload
-        tags[tag] = way
-        policy.touch(way)
-        return way, eviction
+            way = self.victim(set_index, excluded_way)
+        slot = base + way
+        evicted_tag = None
+        evicted_dirty = False
+        if self._valid[slot]:
+            evicted_tag = self._tags[slot]
+            evicted_dirty = bool(self._dirty[slot])
+            del self._where[evicted_tag * self.num_sets + set_index]
+        self._valid[slot] = 1
+        self._tags[slot] = tag
+        self._dirty[slot] = dirty
+        self._stamp[slot] = self._tick()
+        self._where[key] = slot
+        return way, evicted_tag, evicted_dirty
 
     def mark_dirty(self, set_index: int, way: int) -> None:
         """Set the dirty bit of an existing valid line."""
-        line = self.line(set_index, way)
-        if not line.valid:
+        if not self.is_valid(set_index, way):
             raise ValueError("cannot mark an invalid line dirty")
-        line.dirty = True
+        self._dirty[set_index * self.ways + way] = 1
 
     def invalidate(self, set_index: int, tag: int) -> bool:
         """Invalidate ``tag`` if present; returns ``True`` when a line was dropped."""
-        result = self.lookup(set_index, tag, update_replacement=False)
-        if not result.hit:
+        self._check_set(set_index)
+        slot = self._where.pop(tag * self.num_sets + set_index, None)
+        if slot is None:
             return False
-        line = result.line
-        record = EvictionRecord(
-            set_index=set_index,
-            way=result.way,
-            tag=line.tag,
-            dirty=line.dirty,
-            payload=line.payload,
-        )
-        del self._tags[set_index][line.tag]
-        line.reset()
-        if self.on_evict is not None:
-            self.on_evict(record)
+        self._valid[slot] = 0
+        self._dirty[slot] = 0
+        self._stamp[slot] -= INVALIDATED
         return True
 
     def invalidate_all(self) -> None:
-        """Invalidate every line without firing eviction callbacks."""
-        for ways in self._sets.values():
-            for line in ways:
-                line.reset()
-        for tags in self._tags.values():
-            tags.clear()
+        """Invalidate every line."""
+        stamp = self._stamp
+        for slot in self._where.values():
+            stamp[slot] -= INVALIDATED
+        slots = self.num_sets * self.ways
+        self._valid[:] = bytes(slots)
+        self._dirty[:] = bytes(slots)
+        self._where.clear()

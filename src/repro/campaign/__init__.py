@@ -30,7 +30,7 @@ from repro.campaign.aggregate import (
     summarize_results,
     summarize_store,
 )
-from repro.campaign.executor import ParallelExecutor
+from repro.campaign.executor import CellExecutionError, ParallelExecutor
 from repro.campaign.spec import (
     PRESET_NAMES,
     CampaignCell,
@@ -53,6 +53,7 @@ from repro.campaign.store import (
 __all__ = [
     "CampaignCell",
     "CampaignSpec",
+    "CellExecutionError",
     "ParallelExecutor",
     "ResultStore",
     "StoreBackend",

@@ -36,6 +36,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import traceback
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.experiments import BenchmarkRun, ExperimentResults
@@ -216,6 +217,30 @@ def _dump_total(dump: Dict[str, dict]) -> float:
     return total
 
 
+class CellExecutionError(Exception):
+    """A campaign cell's simulation raised inside a pool worker.
+
+    Carries the cell key, the original exception's type name and message and
+    the worker-side traceback text (plain strings, so it pickles back to the
+    parent).  It is deliberately outside the pool-failure exceptions the
+    executor catches, so it propagates at once: a failing cell is not a
+    broken pool, and must neither trigger the serial fallback nor rerun the
+    remaining cells.
+    """
+
+    def __init__(
+        self, key: str, error_type: str, message: str, traceback_text: str = ""
+    ) -> None:
+        super().__init__(key, error_type, message, traceback_text)
+        self.key = key
+        self.error_type = error_type
+        self.message = message
+        self.traceback_text = traceback_text
+
+    def __str__(self) -> str:
+        return f"cell {self.key} failed: {self.error_type}: {self.message}"
+
+
 def _pool_cell(cell: CampaignCell):
     """Process-pool task: simulate one cell.
 
@@ -229,9 +254,17 @@ def _pool_cell(cell: CampaignCell):
     telemetry journal, and — only with metrics on — a cumulative dump of
     this worker's registry, which the parent merges so a ``jobs=4`` metrics
     snapshot finally includes worker-side counters.
+
+    Any exception of the simulation is re-raised as a
+    :class:`CellExecutionError` naming the cell.
     """
     start = time.time()
-    result, info = _execute_cell(cell, _PROCESS_TRACES)
+    try:
+        result, info = _execute_cell(cell, _PROCESS_TRACES)
+    except Exception as error:
+        raise CellExecutionError(
+            cell.key(), type(error).__name__, str(error), traceback.format_exc()
+        ) from error
     payload = result_to_dict(result)
     dump = obs_metrics.registry.dump() if obs_metrics.enabled() else None
     return cell.key(), payload, (os.getpid(), start, time.time()), info, dump
@@ -544,7 +577,9 @@ class ParallelExecutor:
 
         Pool failures (platforms without working multiprocessing, workers
         killed mid-sweep) are swallowed: whatever cells did not complete stay
-        absent from ``results`` and the caller re-runs them serially.
+        absent from ``results`` and the caller re-runs them serially.  A cell
+        whose simulation raised is not a pool failure: its
+        :class:`CellExecutionError` propagates.
         """
         by_key = {cell.key(): cell for cell in pending}
         # Most recent cumulative metrics dump per worker pid (largest total

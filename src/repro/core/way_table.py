@@ -29,7 +29,7 @@ from typing import List, Optional
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
-from repro.tlb.tlb import TLB, TLBEntry, TLBHierarchy
+from repro.tlb.tlb import TLB, TLBHierarchy
 
 
 @dataclass
@@ -49,6 +49,9 @@ class WayPrediction:
 
 #: (banks, associativity, lines_per_page) -> per-line encode/decode tables
 _CODEC_CACHE: dict = {}
+#: lines_per_page -> an all-unknown code list that clears entries in place
+#: (read-only: never handed out as an entry's own codes)
+_ZERO_CODES: dict = {}
 
 
 def _codec_tables(layout: AddressLayout):
@@ -95,6 +98,10 @@ class WayTableEntry:
         self.layout = layout
         self._codes: List[int] = [0] * layout.lines_per_page
         self._decode_tbl, self._encode_tbl = _codec_tables(layout)
+        lines = layout.lines_per_page
+        self._zeros = _ZERO_CODES.get(lines)
+        if self._zeros is None:
+            self._zeros = _ZERO_CODES[lines] = [0] * lines
 
     # ------------------------------------------------------------------
     # Encoding helpers
@@ -158,13 +165,13 @@ class WayTableEntry:
 
     def clear(self) -> None:
         """Invalidate the whole entry (page replaced in the TLB)."""
-        self._codes = [0] * self.layout.lines_per_page
+        self._codes[:] = self._zeros
 
     def copy_from(self, other: "WayTableEntry") -> None:
         """Overwrite this entry with the codes of ``other`` (entry transfer)."""
         if other.layout.lines_per_page != self.layout.lines_per_page:
             raise ValueError("way table entries have incompatible geometries")
-        self._codes = list(other._codes)
+        self._codes[:] = other._codes
 
     def known_lines(self) -> int:
         """Number of lines with a valid way determination."""
@@ -289,8 +296,7 @@ class WayTableHierarchy:
         #: Last-entry register: uWT slot of the most recent prediction, used
         #: to feed conventional-hit ways back without a second uTLB lookup.
         self._last_uwt_slot: Optional[int] = None
-        translation.utlb.add_eviction_callback(self._on_utlb_replacement)
-        translation.tlb.add_eviction_callback(self._on_tlb_replacement)
+        translation.way_tables = self
         self._h_feedback_update = self.stats.handle("way_pred.feedback_update")
         # Remaining per-event counters resolved to integer slots (hot path).
         self._h_uwt_writeback = self.stats.handle("uwt.writeback")
@@ -298,33 +304,45 @@ class WayTableHierarchy:
         self._h_fill_unmapped = self.stats.handle("way_pred.fill_unmapped")
         self._h_evict_unmapped = self.stats.handle("way_pred.evict_unmapped")
         self._h_unencodable = self.stats.handle("way_pred.unencodable_way")
+        self._encode_tbl = _codec_tables(layout)[1]
+        self._page_shift = layout.page_offset_bits
+        self._line_shift = layout.line_offset_bits
+        self._line_in_page_mask = layout._line_in_page_mask
+        # Reverse (physical) lookup order of the line updates.
+        self._reverse_path = (
+            (translation.utlb, self.uwt),
+            (translation.tlb, self.wt),
+        )
 
     # ------------------------------------------------------------------
-    # TLB synchronisation
+    # TLB synchronisation (called by TLBHierarchy.refill)
     # ------------------------------------------------------------------
-    def _on_utlb_replacement(self, slot: int, old: TLBEntry, new: TLBEntry) -> None:
-        """uTLB slot recycled: write the old uWT entry back, load the new one."""
-        if old.valid:
-            tlb_slot = self.translation.tlb.reverse_lookup(
-                old.physical_page, count_event=False
-            )
+    def utlb_slot_replaced(
+        self, slot: int, old_physical_page: Optional[int], virtual_page: int
+    ) -> None:
+        """uTLB ``slot`` now holds ``virtual_page``: write the old page's uWT
+        entry back to the WT (if it held one still TLB resident), then load
+        the incoming page's WT entry."""
+        tlb = self.translation.tlb
+        if old_physical_page is not None:
+            tlb_slot = tlb.reverse_lookup(old_physical_page, count_event=False)
             if tlb_slot is not None:
                 self.wt.write_entry(tlb_slot, self.uwt.entry(slot))
                 self.stats.bump(self._h_uwt_writeback)
         # Load the WT entry of the incoming page (if TLB resident) so the uWT
         # immediately covers it; otherwise start from an empty entry.
-        new_tlb_slot = self.translation.tlb.lookup(new.virtual_page, count_event=False)
-        if new_tlb_slot is not None:
-            self.uwt.write_entry(slot, self.wt.entry(new_tlb_slot))
+        tlb_slot = tlb.lookup(virtual_page, count_event=False)
+        if tlb_slot is not None:
+            self.uwt.write_entry(slot, self.wt.entry(tlb_slot))
         else:
             self.uwt.clear_entry(slot)
         if self._last_uwt_slot == slot:
             self._last_uwt_slot = None
 
-    def _on_tlb_replacement(self, slot: int, old: TLBEntry, new: TLBEntry) -> None:
-        """TLB slot recycled: all way information of the old page is lost."""
+    def tlb_slot_replaced(self, slot: int, was_valid: bool) -> None:
+        """TLB ``slot`` was recycled: all way information of its old page is lost."""
         self.wt.clear_entry(slot)
-        if old.valid:
+        if was_valid:
             self.stats.bump(self._h_wt_page_invalidated)
 
     # ------------------------------------------------------------------
@@ -381,39 +399,54 @@ class WayTableHierarchy:
         self.uwt.update_line(self._last_uwt_slot, line_in_page, way)
         self.stats.bump(self._h_feedback_update)
 
-    def _locate_slot_for_physical(self, physical_address: int):
-        """Find (table, slot) owning the page of ``physical_address``."""
-        ppage = self.layout.decompose(physical_address).page_id
-        slot = self.translation.utlb.reverse_lookup(ppage)
-        if slot is not None:
-            return self.uwt, slot
-        slot = self.translation.tlb.reverse_lookup(ppage)
-        if slot is not None:
-            return self.wt, slot
-        return None, None
+    def _owner_codes(self, physical_page: int):
+        """Way codes of the entry owning ``physical_page``, or ``None``.
+
+        A counted reverse uTLB lookup first; the WT is only consulted "if no
+        corresponding uWT entry was found" (Sec. V).  The caller writes one
+        code, so the owning table's update is counted here too.
+        """
+        values = self.stats._values
+        live = self.stats._live
+        for tlb, table in self._reverse_path:
+            values[tlb._h_reverse_lookup] += 1
+            live[tlb._h_reverse_lookup] = True
+            slot = tlb._by_ppage.get(physical_page)
+            if slot is not None:
+                values[tlb._h_reverse_hit] += 1
+                live[tlb._h_reverse_hit] = True
+                values[table._h_update] += 1
+                live[table._h_update] = True
+                return table._entries[slot]._codes
+            values[tlb._h_reverse_miss] += 1
+            live[tlb._h_reverse_miss] = True
+        return None
 
     def on_line_fill(self, line_address: int, way: int) -> None:
-        """L1 installed a line: set its validity/way in the owning entry."""
-        table, slot = self._locate_slot_for_physical(line_address)
-        if table is None:
+        """L1 installed a line in ``way``: record it in the owning entry."""
+        codes = self._owner_codes(line_address >> self._page_shift)
+        if codes is None:
             self.stats.bump(self._h_fill_unmapped)
             return
-        line_in_page = self.layout.line_in_page(line_address)
-        if not table.update_line(slot, line_in_page, way):
+        line_in_page = (line_address >> self._line_shift) & self._line_in_page_mask
+        code = self._encode_tbl[line_in_page][way]
+        if code is None:
+            code = 0
             self.stats.bump(self._h_unencodable)
+        codes[line_in_page] = code
 
     def on_line_evict(self, line_address: int, way: int) -> None:
         """L1 evicted a line: clear its validity in the owning entry."""
-        table, slot = self._locate_slot_for_physical(line_address)
-        if table is None:
+        codes = self._owner_codes(line_address >> self._page_shift)
+        if codes is None:
             self.stats.bump(self._h_evict_unmapped)
             return
-        table.invalidate_line(slot, self.layout.line_in_page(line_address))
+        codes[(line_address >> self._line_shift) & self._line_in_page_mask] = 0
 
     def attach_to_cache(self, l1_cache) -> None:
-        """Register fill/evict listeners on an :class:`L1DataCache`."""
-        l1_cache.add_fill_listener(self.on_line_fill)
-        l1_cache.add_evict_listener(self.on_line_evict)
+        """Keep these tables coherent with an :class:`L1DataCache`'s fills
+        and evictions."""
+        l1_cache.way_tables = self
 
     # ------------------------------------------------------------------
     # Reporting

@@ -105,9 +105,9 @@ class WayDeterminationUnit:
             self.stats.add(f"{self.name}.invalidate")
 
     def attach_to_cache(self, l1_cache) -> None:
-        """Register fill/evict listeners on an :class:`L1DataCache`."""
-        l1_cache.add_fill_listener(self.on_line_fill)
-        l1_cache.add_evict_listener(self.on_line_evict)
+        """Keep this WDU coherent with an :class:`L1DataCache`'s fills and
+        evictions."""
+        l1_cache.wdu = self
 
     # ------------------------------------------------------------------
     @property

@@ -45,6 +45,9 @@ class DRAMModel:
             raise ValueError("DRAM latency cannot be negative")
         if self.stats is None:
             self.stats = StatCounters()
+        #: one past the highest address both the address space and the
+        #: capacity allow
+        self._limit = min(self.capacity_bytes, self.layout.max_address + 1)
 
     def _check(self, address: int) -> None:
         self.layout.check(address)
@@ -55,13 +58,15 @@ class DRAMModel:
 
     def read(self, address: int) -> int:
         """Read the line containing ``address``; returns the access latency."""
-        self._check(address)
+        if not 0 <= address < self._limit:
+            self._check(address)
         self.stats.add("dram.read")
         return self.latency_cycles
 
     def write(self, address: int) -> int:
         """Write the line containing ``address``; returns the access latency."""
-        self._check(address)
+        if not 0 <= address < self._limit:
+            self._check(address)
         self.stats.add("dram.write")
         return self.latency_cycles
 

@@ -42,7 +42,6 @@ class MemoryHierarchy:
     l1_read_ports: int = 1
     l1_write_ports: int = 1
     restrict_way_allocation: bool = False
-    seed: int = 0
     stats: Optional[StatCounters] = None
     dram: DRAMModel = field(init=False)
     l2: L2Cache = field(init=False)
@@ -59,7 +58,6 @@ class MemoryHierarchy:
             layout=self.layout,
             dram=self.dram,
             stats=self.stats,
-            seed=self.seed,
         )
         self.l1 = L1DataCache(
             layout=self.layout,
@@ -69,7 +67,6 @@ class MemoryHierarchy:
             restrict_way_allocation=self.restrict_way_allocation,
             l2=self.l2,
             stats=self.stats,
-            seed=self.seed,
         )
 
     def reset_stats(self) -> None:

@@ -40,6 +40,9 @@ PROFILE_SCENARIOS: Dict[str, Callable[[int], object]] = {
     "fig4_mini_sweep_serial": lambda n: bench.bench_fig4_mini_sweep_serial(
         n, repeats=1
     ),
+    "fig4_misses_sweep_serial": lambda n: bench.bench_fig4_misses_sweep_serial(
+        n, repeats=1
+    ),
     "figure4_gzip_djpeg_mcf": lambda n: bench.bench_figure4_acceptance(n, repeats=1),
     "trace_decode_rtrc": lambda n: bench.bench_trace_decode(n, repeats=1),
 }

@@ -24,11 +24,14 @@ accounting *fused in* and specialized for that one configuration:
   the flushed totals are bit-identical to per-access bumping.
 
 Bit-identity strategy — *probe, then commit or delegate*: every inlined fast
-path starts with side-effect-free probes (pure dict ``.get`` reads).  Only
-when the whole probe succeeds does the kernel apply the inline effects;
-otherwise it calls the exact original method before having mutated anything,
-so slow paths (TLB misses, cache misses, way-hint mismatches, structure
-materialization) run the canonical code and charge the canonical counters.
+path starts with side-effect-free probes of the canonical slab state (a
+uTLB ``_by_vpage`` read, a bank array ``_where`` read).  Only when the whole
+probe succeeds does the kernel apply the inline effects (reference bit, LRU
+stamp, batched counters); otherwise it calls the entry point the reference
+loop uses before having mutated anything — ``TLBHierarchy.refill`` for a
+uTLB miss, ``L1DataCache.load_parts``/``store_parts`` for an L1 miss or a
+wrong way hint — so slow paths run the canonical code and charge the
+canonical counters.
 All simulation state stays canonical — the kernel creates and mutates the
 same ``LoadQueueEntry``/``StoreBufferEntry``/``MemoryAccessRequest``/
 ``BankRequest`` objects the reference loop would, so a later reference run
@@ -36,7 +39,7 @@ over the same interface observes identical structures.
 
 The emitted module also begins with a battery of *runtime guards*: if the
 live pipeline/interface does not match the generation-time spec (someone
-swapped the replacement policy, resized a buffer, …) ``kernel_run`` returns
+swapped the uTLB policy, resized a buffer, …) ``kernel_run`` returns
 ``None`` before touching anything and the caller falls back to the
 reference loop.
 
@@ -58,7 +61,7 @@ from __future__ import annotations
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 1
+GENERATOR_VERSION = 2
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -93,7 +96,9 @@ def build_spec(config: SimulationConfig, observe: bool = False) -> dict:
         "page_off_mask": layout._page_offset_mask,
         "line_mask": line_mask,
         "line_neg_mask": ~line_mask,
+        "line_shift": layout.line_offset_bits,
         "nbanks": layout.l1_banks,
+        "bank_bits": layout.bank_bits,
         "ways": layout.l1_associativity,
     }
     if config.interface is InterfaceKind.MALEC:
@@ -204,6 +209,7 @@ def _guards(spec: dict) -> str:
         f"        layout.page_offset_bits != {spec['page_shift']}",
         f"        or layout._page_offset_mask != {spec['page_off_mask']}",
         f"        or layout._line_offset_mask != {spec['line_mask']}",
+        f"        or layout.line_offset_bits != {spec['line_shift']}",
         f"        or layout.l1_banks != {spec['nbanks']}",
         "    ):",
         "        return None",
@@ -217,7 +223,7 @@ def _guards(spec: dict) -> str:
         f"    if l1.hit_latency != {spec['hit_latency']} or len(banks) != {spec['nbanks']}:",
         "        return None",
         "    bank0 = banks[0]",
-        f'    if bank0.array._replacement != "lru" or bank0.array.ways != {spec["ways"]}:',
+        f"    if bank0.array.ways != {spec['ways']}:",
         "        return None",
         "    translation = interface.translation",
         "    utlb = translation.utlb",
@@ -273,19 +279,18 @@ def _prologue(spec: dict) -> str:
         "    # slots are mutated in place but never rebound during a run) ----",
         "    _values = stats._values",
         "    _live = stats._live",
-        "    decompose = layout.decompose",
-        "    translate_pair = translation.translate_pair",
+        "    refill = translation.refill",
         "    utlb_by_vpage_get = utlb._by_vpage.get",
-        "    utlb_slots = utlb._slots",
+        "    utlb_ppage = utlb._ppage",
         "    utlb_referenced = utlb._policy._referenced",
         "    lq_entries = load_queue._entries",
         "    sb_entries = store_buffer._entries",
         "    sb_by_tag = store_buffer._by_tag",
         "    mb_entries = merge_buffer._entries",
         "    load_parts = l1.load_parts",
-        "    bank_tags = [bank.array._tags for bank in banks]",
-        "    bank_sets = [bank.array._sets for bank in banks]",
-        "    bank_policies = [bank.array._policies for bank in banks]",
+        "    bank_where = [bank.array._where for bank in banks]",
+        "    bank_stamp = [bank.array._stamp for bank in banks]",
+        "    bank_tick = [bank.array._tick for bank in banks]",
         "    pending_writebacks = interface._pending_writebacks",
         "    drain_committed = interface._drain_committed_stores",
     ]
@@ -293,19 +298,18 @@ def _prologue(spec: dict) -> str:
         lines += [
             "    pending_loads = interface._pending_loads",
             "    writeback_to_cache = interface._writeback_to_cache",
-            "    translate_probe = translation.translate_probe",
         ]
     if kind == "Base2ld1st":
         lines += [
+            "    translate_pair = translation.translate_pair",
             "    bank_index_of = layout.bank_index",
             "    line_address_of = layout.line_address",
-            "    l1_store = l1.store",
+            "    store_parts = l1.store_parts",
         ]
     if kind == "MALEC":
         lines += [
             "    mbe_backlog = interface._mbe_backlog",
             "    feed_mbe_slot = interface._feed_mbe_slot",
-            "    translate_page_pair = translation.translate_page_pair",
             "    store_parts = l1.store_parts",
             "    mk_deque = deque",
         ]
@@ -711,7 +715,7 @@ def _issue_store(spec: dict) -> str:
                             acc_utlb_hit += 1
                             utlb_referenced[slot] = True
                         else:
-                            translate_probe(address)"""
+                            refill(vpage)"""
     return f"""\
                     in_store_order = (
                         store_order_head < len(store_order)
@@ -752,19 +756,18 @@ def _shift(text: str, spaces: int) -> str:
 
 
 def _translate_pair_inline(spec: dict, addr: str, indent: int) -> str:
-    """uTLB-hit fast path of TLBHierarchy.translate_pair; miss delegates."""
+    """uTLB-hit fast path of TLBHierarchy.translate_pair; a miss refills."""
     text = f"""\
 vpage = {addr} >> {spec['page_shift']}
 slot = utlb_by_vpage_get(vpage)
 if slot is not None:
     acc_utlb_hit += 1
     utlb_referenced[slot] = True
-    physical = (
-        utlb_slots[slot].physical_page << {spec['page_shift']}
-    ) | ({addr} & {spec['page_off_mask']})
+    ppage = utlb_ppage[slot]
     translation_latency = 0
 else:
-    physical, translation_latency = translate_pair({addr})"""
+    ppage, translation_latency = refill(vpage)
+physical = (ppage << {spec['page_shift']}) | ({addr} & {spec['page_off_mask']})"""
     return _shift(text, indent)
 
 
@@ -791,20 +794,18 @@ def _l1_conventional_inline(spec: dict, phys: str, indent: int) -> str:
     """Conventional (no way hint) L1 load probe; any miss delegates.
 
     Sets ``latency`` (and ``l1_hit``/``l1_way`` for MALEC's feedback path).
+    The probe is one ``_where`` lookup of the line's key in its bank's
+    array; a hit stamps the slot's LRU recency.
     """
     text = f"""\
-pparts = decompose({phys})
-pbank = pparts[5]
-tags_map = bank_tags[pbank].get(pparts[6])
-l1_way = tags_map.get(pparts[7]) if tags_map is not None else None
-policy = bank_policies[pbank].get(pparts[6]) if l1_way is not None else None
-if policy is not None:
-    lru_stack = policy._stack
-    if lru_stack[0] != l1_way:
-        lru_stack.remove(l1_way)
-        lru_stack.insert(0, l1_way)
+pline = {phys} >> {spec['line_shift']}
+pbank = pline & {spec['nbanks'] - 1}
+l1_slot = bank_where[pbank].get(pline >> {spec['bank_bits']})
+if l1_slot is not None:
+    bank_stamp[pbank][l1_slot] = bank_tick[pbank]()
     acc_l1_conv_hit += 1
     l1_hit = True
+    l1_way = l1_slot & {spec['ways'] - 1}
     reduced = False
     latency = {spec['hit_latency']}
 else:
@@ -903,7 +904,7 @@ def _tick_2ld1st(spec: dict) -> str:
                     bank = bank_index_of(writeback.physical_line_address)
                     if bank_writes.get(bank, 0) < 1 and bank_accesses.get(bank, 0) < 2:
                         pending_writebacks.popleft()
-                        l1_store(writeback.physical_line_address)
+                        store_parts(writeback.physical_line_address)
                         acc_mbe_written += 1
                         bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
                         bank_writes[bank] = bank_writes.get(bank, 0) + 1
@@ -1066,10 +1067,10 @@ def _tick_malec(spec: dict) -> str:
                 if slot is not None:
                     acc_utlb_hit += 1
                     utlb_referenced[slot] = True
-                    physical_page = utlb_slots[slot].physical_page
+                    physical_page = utlb_ppage[slot]
                     translation_latency = 0
                 else:
-                    physical_page, translation_latency = translate_page_pair(page)
+                    physical_page, translation_latency = refill(page)
 {_predict_fragment(spec)}
                 # ---- ArbitrationUnit.arbitrate ----
                 bank_owner = {{}}
@@ -1133,56 +1134,36 @@ def _tick_malec(spec: dict) -> str:
                         ) | (maddr & {spec['page_off_mask']})
 {_forwarding_inline(spec, "maddr", "request.size", "acc_fwd_split", 24)}
                     # ---- L1 load: reduced / conventional probe, else delegate
-                    pparts = decompose(physical_address)
-                    pbank = pparts[5]
-                    set_index = pparts[6]
-                    ptag = pparts[7]
+                    pline = physical_address >> {spec['line_shift']}
+                    pbank = pline & {spec['nbanks'] - 1}
+                    l1_slot = bank_where[pbank].get(pline >> {spec['bank_bits']})
                     if way_hint is not None:
-                        l1_hit = False
-                        lines = bank_sets[pbank].get(set_index)
-                        if lines is not None:
-                            line = lines[way_hint]
-                            if line.valid and line.tag == ptag:
-                                policy = bank_policies[pbank].get(set_index)
-                                tags_map = bank_tags[pbank].get(set_index)
-                                tags_way = (
-                                    tags_map.get(ptag) if tags_map is not None else None
-                                )
-                                if policy is not None and tags_way is not None:
-                                    lru_stack = policy._stack
-                                    if lru_stack[0] != tags_way:
-                                        lru_stack.remove(tags_way)
-                                        lru_stack.insert(0, tags_way)
-                                    acc_l1_reduced_hit += 1
-                                    l1_hit = True
-                                    l1_way = way_hint
-                                    reduced = True
-                                    latency = {spec['hit_latency']}
-                        if not l1_hit:
-                            l1_hit, l1_way, latency, reduced, _b, _w = load_parts(
-                                physical_address, way_hint=way_hint
-                            )
-                    else:
-                        tags_map = bank_tags[pbank].get(set_index)
-                        l1_way = tags_map.get(ptag) if tags_map is not None else None
-                        policy = (
-                            bank_policies[pbank].get(set_index)
-                            if l1_way is not None
-                            else None
-                        )
-                        if policy is not None:
-                            lru_stack = policy._stack
-                            if lru_stack[0] != l1_way:
-                                lru_stack.remove(l1_way)
-                                lru_stack.insert(0, l1_way)
-                            acc_l1_conv_hit += 1
+                        # Reduced: the hinted way must hold the line.
+                        if (
+                            l1_slot is not None
+                            and l1_slot & {spec['ways'] - 1} == way_hint
+                        ):
+                            bank_stamp[pbank][l1_slot] = bank_tick[pbank]()
+                            acc_l1_reduced_hit += 1
                             l1_hit = True
-                            reduced = False
+                            l1_way = way_hint
+                            reduced = True
                             latency = {spec['hit_latency']}
                         else:
                             l1_hit, l1_way, latency, reduced, _b, _w = load_parts(
-                                physical_address
+                                physical_address, way_hint=way_hint
                             )
+                    elif l1_slot is not None:
+                        bank_stamp[pbank][l1_slot] = bank_tick[pbank]()
+                        acc_l1_conv_hit += 1
+                        l1_hit = True
+                        l1_way = l1_slot & {spec['ways'] - 1}
+                        reduced = False
+                        latency = {spec['hit_latency']}
+                    else:
+                        l1_hit, l1_way, latency, reduced, _b, _w = load_parts(
+                            physical_address
+                        )
                     acc_load_accesses += 1
                     acc_loads_merged += len(merged_requests){_way_acct(spec, 20)}{_feedback(spec)}
                     ready_cycle = cycle + translation_latency + latency

@@ -129,7 +129,6 @@ class Simulator:
                 and config.malec_options.way_determination == "wt"
                 and config.malec_options.restrict_way_allocation
             ),
-            seed=config.seed,
             stats=self.stats,
         )
         self.translation = TLBHierarchy(

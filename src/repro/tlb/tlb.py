@@ -14,25 +14,12 @@ number of full uWT→WT entry transfers) and random for the TLB.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cache.replacement import make_replacement_policy
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.page_table import PageTable
-
-
-class TLBEntry:
-    """One translation held by a TLB (slotted: one per TLB slot)."""
-
-    __slots__ = ("valid", "virtual_page", "physical_page")
-
-    def __init__(
-        self, valid: bool = False, virtual_page: int = 0, physical_page: int = 0
-    ) -> None:
-        self.valid = valid
-        self.virtual_page = virtual_page
-        self.physical_page = physical_page
 
 
 class TranslationResult:
@@ -64,17 +51,18 @@ class TranslationResult:
         self.latency = latency
 
 
-#: Callback fired when a TLB slot is replaced: (slot_index, old_entry, new_entry)
-EvictionCallback = Callable[[int, TLBEntry, TLBEntry], None]
-
-
 class TLB:
     """A fully-associative translation buffer of ``entries`` slots.
 
     The class is used for both the 64-entry main TLB and the 16-entry uTLB
     (Table II); only the size and the replacement policy differ.  Way tables
     index their entries by TLB slot, so the slot index is part of every
-    lookup result and the eviction callback reports which slot was recycled.
+    lookup result.
+
+    Slot state lives in flat slabs indexed by slot — ``_vpage``, ``_ppage``
+    and ``_valid`` — next to the replacement policy's own per-slot state
+    (the second-chance reference bits, or the random policy's RNG).  The
+    ``_by_vpage`` / ``_by_ppage`` dicts index the valid slots both ways.
     """
 
     def __init__(
@@ -92,12 +80,13 @@ class TLB:
         self.layout = layout
         self.entries = entries
         self.stats = stats if stats is not None else StatCounters()
-        self._slots: List[TLBEntry] = [TLBEntry() for _ in range(entries)]
+        self._vpage: List[int] = [0] * entries
+        self._ppage: List[int] = [0] * entries
+        self._valid = bytearray(entries)
         self._policy = make_replacement_policy(replacement, entries, seed=seed)
-        self._by_vpage: Dict[int, int] = {}
-        self._by_ppage: Dict[int, int] = {}
+        self._by_vpage: dict = {}
+        self._by_ppage: dict = {}
         self._valid_count = 0
-        self._eviction_callbacks: List[EvictionCallback] = []
         # Per-access counters resolved to integer slots once (hot path); the
         # f-string name construction otherwise runs on every lookup.
         self._h_lookup = self.stats.handle(f"{name}.lookup")
@@ -113,13 +102,15 @@ class TLB:
         self._combo_miss = ((self._h_lookup, 1), (self._h_miss, 1))
 
     # ------------------------------------------------------------------
-    def add_eviction_callback(self, callback: EvictionCallback) -> None:
-        """Register a callback fired when a slot's translation is replaced."""
-        self._eviction_callbacks.append(callback)
+    # Slot accessors
+    # ------------------------------------------------------------------
+    def virtual_page(self, slot: int) -> Optional[int]:
+        """Virtual page held by ``slot`` (``None`` when invalid)."""
+        return self._vpage[slot] if self._valid[slot] else None
 
-    def slot(self, index: int) -> TLBEntry:
-        """Direct access to slot ``index`` (used by way tables and tests)."""
-        return self._slots[index]
+    def physical_page(self, slot: int) -> Optional[int]:
+        """Physical page held by ``slot`` (``None`` when invalid)."""
+        return self._ppage[slot] if self._valid[slot] else None
 
     # ------------------------------------------------------------------
     # Lookups
@@ -161,12 +152,12 @@ class TLB:
         slot = self._by_vpage.get(virtual_page)
         if slot is None:
             return None
-        return self._slots[slot].physical_page
+        return self._ppage[slot]
 
     @property
     def occupancy(self) -> int:
         """Number of valid translations currently held."""
-        return sum(1 for entry in self._slots if entry.valid)
+        return self._valid_count
 
     def resident_virtual_pages(self) -> List[int]:
         """Virtual pages currently covered (helper for invariants)."""
@@ -175,49 +166,57 @@ class TLB:
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
-    def insert(self, virtual_page: int, physical_page: int) -> int:
-        """Install a translation and return the slot index used.
-
-        If the virtual page is already resident its slot is refreshed.  A
-        full TLB evicts a victim chosen by the replacement policy and informs
-        the registered eviction callbacks (which the way tables use to write
-        back / invalidate their per-slot entries).
-        """
-        existing = self._by_vpage.get(virtual_page)
-        if existing is not None:
-            entry = self._slots[existing]
-            if entry.physical_page != physical_page:
-                self._by_ppage.pop(entry.physical_page, None)
-                entry.physical_page = physical_page
-                self._by_ppage[physical_page] = existing
-            self._policy.touch(existing)
-            return existing
-
-        if self._valid_count >= self.entries:
-            # Steady state: every slot valid, skip building the mask.
-            slot = self._policy.victim_full()
+    def _install(self, slot: int, virtual_page: int, physical_page: int):
+        """Write a translation into ``slot``; returns the physical page it
+        replaced (``None`` if the slot was empty).  Counts the fill (and the
+        eviction) and marks the slot used for the replacement policy."""
+        old_ppage = None
+        values = self.stats._values
+        live = self.stats._live
+        if self._valid[slot]:
+            old_ppage = self._ppage[slot]
+            values[self._h_eviction] += 1
+            live[self._h_eviction] = True
+            self._by_vpage.pop(self._vpage[slot], None)
+            self._by_ppage.pop(old_ppage, None)
         else:
-            slot = self._policy.victim([entry.valid for entry in self._slots])
-        old = self._slots[slot]
-        new = TLBEntry(valid=True, virtual_page=virtual_page, physical_page=physical_page)
-        if old.valid:
-            self.stats.bump(self._h_eviction)
-            self._by_vpage.pop(old.virtual_page, None)
-            self._by_ppage.pop(old.physical_page, None)
-        else:
+            self._valid[slot] = 1
             self._valid_count += 1
-        for callback in self._eviction_callbacks:
-            callback(slot, old, new)
-        self._slots[slot] = new
+        self._vpage[slot] = virtual_page
+        self._ppage[slot] = physical_page
         self._by_vpage[virtual_page] = slot
         self._by_ppage[physical_page] = slot
         self._policy.touch(slot)
-        self.stats.bump(self._h_fill)
+        values[self._h_fill] += 1
+        live[self._h_fill] = True
+        return old_ppage
+
+    def insert(self, virtual_page: int, physical_page: int) -> int:
+        """Install a translation and return the slot index used.
+
+        If the virtual page is already resident its slot is refreshed;
+        otherwise a victim chosen by the replacement policy is overwritten.
+        Way tables are kept in step by :meth:`TLBHierarchy.refill`, not here.
+        """
+        existing = self._by_vpage.get(virtual_page)
+        if existing is not None:
+            old_ppage = self._ppage[existing]
+            if old_ppage != physical_page:
+                self._by_ppage.pop(old_ppage, None)
+                self._ppage[existing] = physical_page
+                self._by_ppage[physical_page] = existing
+            self._policy.touch(existing)
+            return existing
+        if self._valid_count >= self.entries:
+            slot = self._policy.victim_full()
+        else:
+            slot = self._policy.victim(self._valid)
+        self._install(slot, virtual_page, physical_page)
         return slot
 
     def invalidate_all(self) -> None:
-        """Drop every translation (no callbacks; used for context switches)."""
-        self._slots = [TLBEntry() for _ in range(self.entries)]
+        """Drop every translation (used for context switches)."""
+        self._valid[:] = bytes(self.entries)
         self._by_vpage.clear()
         self._by_ppage.clear()
         self._valid_count = 0
@@ -266,6 +265,77 @@ class TLBHierarchy:
         )
         self._h_walk = self.stats.handle("tlb.walk")
         self._page_shift = layout.page_offset_bits
+        # Replacement state the refill drives directly.
+        self._utlb_policy = self.utlb._policy
+        self._utlb_referenced = self.utlb._policy._referenced
+        self._tlb_rng = self.tlb._policy._rng
+        self._tlb_slots = range(tlb_entries)
+        #: way tables kept in step with slot replacements (set by
+        #: :class:`repro.core.way_table.WayTableHierarchy`)
+        self.way_tables = None
+
+    def refill(self, virtual_page: int) -> Tuple[int, int]:
+        """Service a uTLB miss; returns ``(physical_page, latency)``.
+
+        One pass: count the uTLB miss; look the page up in the TLB (1 cycle)
+        or walk the page table (``walk_latency`` cycles) and install it over
+        the TLB's random victim; install it over the uTLB's second-chance
+        victim.  With way tables attached, each recycled slot updates them:
+        a TLB slot clears its WT entry, a uTLB slot writes its uWT entry back
+        to the WT and loads the incoming page's WT entry.  The victim choices
+        draw exactly what :meth:`RandomReplacement.victim_full` and
+        :meth:`SecondChanceReplacement.victim_full` would.
+        """
+        values = self.stats._values
+        live = self.stats._live
+        utlb = self.utlb
+        tlb = self.tlb
+        for handle, amount in utlb._combo_miss:
+            values[handle] += amount
+            live[handle] = True
+        tlb_slot = tlb._by_vpage.get(virtual_page)
+        if tlb_slot is not None:
+            # (A TLB hit needs no replacement update: the random policy
+            # keeps no use state.)
+            for handle, amount in tlb._combo_hit:
+                values[handle] += amount
+                live[handle] = True
+            physical_page = tlb._ppage[tlb_slot]
+            latency = 1
+        else:
+            for handle, amount in tlb._combo_miss:
+                values[handle] += amount
+                live[handle] = True
+            physical_page = self.page_table.translate_page(virtual_page)
+            values[self._h_walk] += 1
+            live[self._h_walk] = True
+            if tlb._valid_count >= tlb.entries:
+                tlb_slot = self._tlb_rng.choice(self._tlb_slots)
+            else:
+                tlb_slot = tlb._policy.victim(tlb._valid)
+            replaced = tlb._install(tlb_slot, virtual_page, physical_page)
+            if self.way_tables is not None:
+                self.way_tables.tlb_slot_replaced(tlb_slot, replaced is not None)
+            latency = self.walk_latency
+        if utlb._valid_count >= utlb.entries:
+            # Second-chance sweep: the hand clears each set reference bit it
+            # passes and stops at the first clear one (within one turn).
+            referenced = self._utlb_referenced
+            entries = utlb.entries
+            hand = self._utlb_policy._hand
+            while True:
+                slot = hand
+                hand = (hand + 1) % entries
+                if not referenced[slot]:
+                    break
+                referenced[slot] = False
+            self._utlb_policy._hand = hand
+        else:
+            slot = utlb._policy.victim(utlb._valid)
+        old_ppage = utlb._install(slot, virtual_page, physical_page)
+        if self.way_tables is not None:
+            self.way_tables.utlb_slot_replaced(slot, old_ppage, virtual_page)
+        return physical_page, latency
 
     def translate(self, virtual_address: int) -> TranslationResult:
         """Translate ``virtual_address``; refills uTLB/TLB as needed.
@@ -276,51 +346,24 @@ class TLBHierarchy:
         """
         parts = self.layout.decompose(virtual_address)
         vpage = parts.page_id
-        offset = parts.page_offset
-
-        # Inlined uTLB hit path (the overwhelmingly common case): one dict
-        # probe, the hit-counter combo and the second-chance reference bit —
-        # exactly what utlb.lookup() + slot() would do, without the calls.
         utlb = self.utlb
         slot = utlb._by_vpage.get(vpage)
         if slot is not None:
             self.stats.bump_many(utlb._combo_hit)
             utlb._policy.touch(slot)
-            ppage = utlb._slots[slot].physical_page
-            return TranslationResult(
-                virtual_page=vpage,
-                physical_page=ppage,
-                physical_address=(ppage << self._page_shift) | offset,
-                utlb_hit=True,
-                tlb_hit=True,
-                latency=0,
-            )
-        self.stats.bump_many(utlb._combo_miss)
-
-        tlb_slot = self.tlb.lookup(vpage)
-        if tlb_slot is not None:
-            ppage = self.tlb.slot(tlb_slot).physical_page
-            self.utlb.insert(vpage, ppage)
-            return TranslationResult(
-                virtual_page=vpage,
-                physical_page=ppage,
-                physical_address=(ppage << self._page_shift) | offset,
-                utlb_hit=False,
-                tlb_hit=True,
-                latency=1,
-            )
-
-        ppage = self.page_table.translate_page(vpage)
-        self.stats.bump(self._h_walk)
-        self.tlb.insert(vpage, ppage)
-        self.utlb.insert(vpage, ppage)
+            ppage, latency = utlb._ppage[slot], 0
+            utlb_hit = tlb_hit = True
+        else:
+            utlb_hit = False
+            tlb_hit = vpage in self.tlb._by_vpage
+            ppage, latency = self.refill(vpage)
         return TranslationResult(
             virtual_page=vpage,
             physical_page=ppage,
-            physical_address=(ppage << self._page_shift) | offset,
-            utlb_hit=False,
-            tlb_hit=False,
-            latency=self.walk_latency,
+            physical_address=(ppage << self._page_shift) | parts.page_offset,
+            utlb_hit=utlb_hit,
+            tlb_hit=tlb_hit,
+            latency=latency,
         )
 
     def translate_pair(self, virtual_address: int):
@@ -331,25 +374,8 @@ class TLBHierarchy:
         interface models only consumes these two fields.
         """
         parts = self.layout.decompose(virtual_address)
-        vpage = parts.page_id
-        offset = parts.page_offset
-        utlb = self.utlb
-        slot = utlb._by_vpage.get(vpage)
-        if slot is not None:
-            self.stats.bump_many(utlb._combo_hit)
-            utlb._policy.touch(slot)
-            return ((utlb._slots[slot].physical_page << self._page_shift) | offset, 0)
-        self.stats.bump_many(utlb._combo_miss)
-        tlb_slot = self.tlb.lookup(vpage)
-        if tlb_slot is not None:
-            ppage = self.tlb.slot(tlb_slot).physical_page
-            self.utlb.insert(vpage, ppage)
-            return ((ppage << self._page_shift) | offset, 1)
-        ppage = self.page_table.translate_page(vpage)
-        self.stats.bump(self._h_walk)
-        self.tlb.insert(vpage, ppage)
-        self.utlb.insert(vpage, ppage)
-        return ((ppage << self._page_shift) | offset, self.walk_latency)
+        ppage, latency = self.translate_page_pair(parts.page_id)
+        return ((ppage << self._page_shift) | parts.page_offset, latency)
 
     def translate_page_pair(self, virtual_page: int):
         """Translate a bare page id, returning ``(physical_page, latency)``.
@@ -362,18 +388,8 @@ class TLBHierarchy:
         if slot is not None:
             self.stats.bump_many(utlb._combo_hit)
             utlb._policy.touch(slot)
-            return (utlb._slots[slot].physical_page, 0)
-        self.stats.bump_many(utlb._combo_miss)
-        tlb_slot = self.tlb.lookup(virtual_page)
-        if tlb_slot is not None:
-            ppage = self.tlb.slot(tlb_slot).physical_page
-            self.utlb.insert(virtual_page, ppage)
-            return (ppage, 1)
-        ppage = self.page_table.translate_page(virtual_page)
-        self.stats.bump(self._h_walk)
-        self.tlb.insert(virtual_page, ppage)
-        self.utlb.insert(virtual_page, ppage)
-        return (ppage, self.walk_latency)
+            return (utlb._ppage[slot], 0)
+        return self.refill(virtual_page)
 
     def translate_probe(self, virtual_address: int) -> None:
         """Perform a translation purely for its side effects.
@@ -381,25 +397,9 @@ class TLBHierarchy:
         Identical state changes and statistics to :meth:`translate` (uTLB/TLB
         refills, walks, counters) without building a
         :class:`TranslationResult`.  The baselines use this for stores, whose
-        translation result is discarded — one fewer allocation per store.
+        translation result is discarded.
         """
-        vpage = self.layout.decompose(virtual_address).page_id
-        utlb = self.utlb
-        slot = utlb._by_vpage.get(vpage)
-        if slot is not None:
-            self.stats.bump_many(utlb._combo_hit)
-            utlb._policy.touch(slot)
-            return
-        self.stats.bump_many(utlb._combo_miss)
-        tlb_slot = self.tlb.lookup(vpage)
-        if tlb_slot is not None:
-            ppage = self.tlb.slot(tlb_slot).physical_page
-            self.utlb.insert(vpage, ppage)
-            return
-        ppage = self.page_table.translate_page(vpage)
-        self.stats.bump(self._h_walk)
-        self.tlb.insert(vpage, ppage)
-        self.utlb.insert(vpage, ppage)
+        self.translate_page_pair(self.layout.decompose(virtual_address).page_id)
 
     def translate_page(self, virtual_page: int) -> TranslationResult:
         """Translate a bare virtual page id (offset 0)."""

@@ -25,6 +25,7 @@ EXPECTED_SCENARIOS = {
     "single_config_run_kernel",
     "fig4_mini_sweep",
     "fig4_mini_sweep_serial",
+    "fig4_misses_sweep_serial",
     "figure4_gzip_djpeg_mcf",
     "trace_decode_rtrc",
     "trace_columnar_decode",
@@ -136,6 +137,15 @@ class TestCompareGate:
         slower = self._shifted(quick_report, 3.0, "slower")
         hits = find_regressions(before, slower, threshold_pct=20.0)
         assert not any("fig4_mini_sweep_serial" in line for line in hits)
+
+    def test_base_without_the_miss_scenario_is_skipped(self, quick_report):
+        """Base revisions older than fig4_misses_sweep_serial gate the rest."""
+        before = json.loads(json.dumps(quick_report))
+        del before["scenarios"]["fig4_misses_sweep_serial"]
+        slower = self._shifted(quick_report, 3.0, "slower")
+        hits = find_regressions(before, slower, threshold_pct=20.0)
+        assert len(hits) == len(before["scenarios"])
+        assert not any("fig4_misses_sweep_serial" in line for line in hits)
 
     def test_two_file_compare_passes_and_fails(self, quick_report, tmp_path, capsys):
         old = tmp_path / "old.json"

@@ -5,6 +5,7 @@ import pytest
 from repro.cache.cache_bank import CacheBank
 from repro.cache.l1_cache import L1DataCache
 from repro.cache.l2_cache import L2Cache
+from repro.core.wdu import WayDeterminationUnit
 from repro.memory.address import DEFAULT_LAYOUT
 from repro.memory.dram import DRAMModel
 from repro.memory.hierarchy import MemoryHierarchy
@@ -49,19 +50,22 @@ class TestCacheBank:
         assert stats["l1.way_hint_wrong"] == 1
         assert stats["l1.conventional_access"] == 1
 
-    def test_fill_and_eviction_callbacks(self):
-        fills, evicts = [], []
-        bank = CacheBank(
-            bank_index=0,
-            on_fill=lambda a, w: fills.append((a, w)),
-            on_evict=lambda a, w: evicts.append((a, w)),
-        )
+    def test_fill_reports_the_evicted_line(self, stats):
+        bank = CacheBank(bank_index=0, stats=stats)
         # Fill more lines than the set holds (same set, different tags).
         set_span = layout.l1_banks * layout.l1_sets_per_bank  # lines between same-set addresses
-        for i in range(layout.l1_associativity + 1):
-            bank.fill(layout.address_of_line(i * set_span))
-        assert len(fills) == layout.l1_associativity + 1
-        assert len(evicts) == 1
+        lines = [
+            layout.address_of_line(i * set_span)
+            for i in range(layout.l1_associativity + 1)
+        ]
+        results = [bank.fill(line, dirty=(i == 0)) for i, line in enumerate(lines)]
+        assert all(result.evicted_line_address is None for result in results[:-1])
+        # True LRU: the first line filled is the one displaced, dirty.
+        assert results[-1].evicted_line_address == lines[0]
+        assert results[-1].evicted_dirty
+        assert results[-1].way == results[0].way
+        assert stats["l1.fill"] == len(lines)
+        assert stats["l1.eviction"] == 1 and stats["l1.writeback"] == 1
 
     def test_excluded_way_rotation(self):
         bank = CacheBank(bank_index=0, restrict_way_allocation=True)
@@ -114,13 +118,19 @@ class TestL1DataCache:
         outcome = l1.load(addr(1, 6))
         assert outcome.bank == 6 % 4
 
-    def test_fill_listeners_reach_way_consumers(self):
-        l1 = L1DataCache()
-        seen = []
-        l1.add_fill_listener(lambda a, w: seen.append(("fill", a, w)))
-        l1.add_evict_listener(lambda a, w: seen.append(("evict", a, w)))
-        l1.load(addr(5, 0))
-        assert seen and seen[0][0] == "fill"
+    def test_fills_and_evictions_reach_the_attached_wdu(self, stats):
+        l1 = L1DataCache(stats=stats)
+        wdu = WayDeterminationUnit(entries=16, stats=stats)
+        wdu.attach_to_cache(l1)
+        set_span = layout.l1_banks * layout.l1_sets_per_bank
+        lines = [
+            layout.address_of_line(i * set_span)
+            for i in range(layout.l1_associativity + 1)
+        ]
+        ways = [l1.load(line).way for line in lines]
+        assert wdu.predict(lines[-1]).way == ways[-1]
+        assert not wdu.predict(lines[0]).known  # evicted: validity cleared
+        assert stats["wdu.invalidate"] == 1
 
     def test_miss_rates(self):
         l1 = L1DataCache()
@@ -162,6 +172,28 @@ class TestL2AndDRAM:
         l2.access(addr(9, 0))
         l2.access(addr(9, 0))
         assert l2.miss_rate == 0.5
+
+    def test_dirty_victim_written_back_under_its_own_address(self, stats):
+        class SpyDRAM(DRAMModel):
+            def write(self, address):
+                written.append(address)
+                return super().write(address)
+
+        written = []
+        # One set of two ways: the third distinct line evicts the first.
+        l2 = L2Cache(
+            capacity_bytes=2 * layout.line_bytes,
+            associativity=2,
+            dram=SpyDRAM(stats=stats),
+            stats=stats,
+        )
+        first, second, third = (layout.address_of_line(n) for n in (3, 8, 21))
+        l2.access(first + 4, is_write=True)
+        l2.access(second)
+        l2.access(third)
+        assert written == [first]
+        assert stats["l2.writeback"] == 1 and stats["dram.write"] == 1
+        assert not l2.contains(first) and l2.contains(third)
 
     def test_l2_geometry_validation(self):
         with pytest.raises(ValueError):

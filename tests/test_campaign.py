@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
 
+from repro.campaign import executor as executor_module
 from repro.campaign.aggregate import results_from_store, summarize_store
-from repro.campaign.executor import ParallelExecutor
+from repro.campaign.executor import CellExecutionError, ParallelExecutor
+from repro.obs import metrics as obs_metrics
 from repro.campaign.spec import (
     CampaignCell,
     CampaignSpec,
@@ -208,6 +212,54 @@ class TestExecutor:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=0)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the patched cell runner only when forked",
+    )
+    def test_failing_pool_cell_is_not_a_pool_failure(self, tmp_path, monkeypatch):
+        """A cell that raises in a worker surfaces as that cell's error: no
+        pool-fallback warning or counter, and no cell runs a second time."""
+        spec = small_spec()
+        bad = spec.cells()[3]
+        calls = tmp_path / "calls"
+        real_execute = executor_module._execute_cell
+
+        def execute(cell, cache, kernel=None):
+            with open(calls, "a") as log:
+                log.write(f"{os.getpid()} {cell.key()}\n")
+            if cell.key() == bad.key():
+                raise RuntimeError("pipeline exceeded 10 cycles; likely deadlock")
+            return real_execute(cell, cache, kernel)
+
+        warnings = []
+        monkeypatch.setattr(executor_module, "_execute_cell", execute)
+        monkeypatch.setattr(
+            executor_module.logger, "warning", lambda *args: warnings.append(args)
+        )
+        obs_metrics.registry.clear()
+        obs_metrics.enable()
+        try:
+            executor = ParallelExecutor(jobs=2)
+            with pytest.raises(CellExecutionError) as failure:
+                executor.run(spec)
+            fallbacks = obs_metrics.registry.dump().get("campaign.pool_fallbacks")
+        finally:
+            obs_metrics.disable()
+            obs_metrics.registry.clear()
+        assert executor.used_pool
+        error = failure.value
+        assert error.key == bad.key()
+        assert error.error_type == "RuntimeError"
+        assert "likely deadlock" in error.message
+        assert bad.key() in str(error)
+        assert "likely deadlock" in error.traceback_text
+        assert warnings == []
+        assert fallbacks is None
+        executed = [line.split() for line in calls.read_text().splitlines()]
+        keys = [key for _pid, key in executed]
+        assert len(keys) == len(set(keys))
+        assert str(os.getpid()) not in {pid for pid, _key in executed}
 
 
 class TestAggregate:

@@ -53,15 +53,13 @@ def fallback_seeds():
 def check_lookup_after_insert_hits(num_sets: int, ways: int, seed: int) -> None:
     """Filling a tag and looking it up immediately must hit in that way."""
     rng = random.Random(seed)
-    array = SetAssociativeArray(num_sets=num_sets, ways=ways, seed=seed)
+    array = SetAssociativeArray(num_sets=num_sets, ways=ways)
     for _ in range(4 * num_sets * ways):
         set_index = rng.randrange(num_sets)
         tag = rng.randrange(8 * ways)
-        way, _ = array.fill(set_index, tag)
-        result = array.lookup(set_index, tag, update_replacement=False)
-        assert result.hit, (set_index, tag)
-        assert result.way == way
-        assert array.line(set_index, way).tag == tag
+        way, _, _ = array.fill(set_index, tag)
+        assert array.probe(set_index, tag) == way, (set_index, tag)
+        assert array.tag_of(set_index, way) == tag
         assert tag in array.valid_tags(set_index)
 
 
@@ -90,7 +88,7 @@ def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
     rng = random.Random(seed)
     stats = StatCounters()
     layout = AddressLayout()
-    hierarchy = MemoryHierarchy(layout=layout, stats=stats, seed=seed)
+    hierarchy = MemoryHierarchy(layout=layout, stats=stats)
     translation = TLBHierarchy(layout=layout, stats=stats, seed=seed)
     way_tables = WayTableHierarchy(translation, layout=layout, stats=stats)
     way_tables.attach_to_cache(hierarchy.l1)
@@ -131,14 +129,14 @@ def check_tlb_insert_lookup_consistency(entries: int, seed: int) -> None:
         ppage = translation.page_table.translate_page(vpage)
         slot = tlb.insert(vpage, ppage)
         assert tlb.lookup(vpage, count_event=False) == slot
-        assert tlb.slot(slot).physical_page == ppage
+        assert tlb.physical_page(slot) == ppage
         assert tlb.reverse_lookup(ppage, count_event=False) == slot
         assert tlb.occupancy <= entries
     # Every resident virtual page must be reachable both ways.
     for vpage in tlb.resident_virtual_pages():
         slot = tlb.lookup(vpage, count_event=False)
         assert slot is not None
-        assert tlb.reverse_lookup(tlb.slot(slot).physical_page, count_event=False) == slot
+        assert tlb.reverse_lookup(tlb.physical_page(slot), count_event=False) == slot
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for the page table, TLB/uTLB and the translation hierarchy."""
 
+import random
+
 import pytest
 
+from repro.core.way_table import WayTableHierarchy
 from repro.memory.address import DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.page_table import PageTable
@@ -73,15 +76,16 @@ class TestTLB:
         assert tlb.reverse_lookup(100) == slot
         assert tlb.reverse_lookup(999) is None
 
-    def test_eviction_callback_on_replacement(self):
-        events = []
-        tlb = TLB(entries=2, name="t", replacement="lru")
-        tlb.add_eviction_callback(lambda slot, old, new: events.append((slot, old.valid)))
-        tlb.insert(1, 10)
+    def test_full_tlb_replaces_a_valid_entry(self, stats):
+        tlb = TLB(entries=2, name="t", replacement="lru", stats=stats)
+        first = tlb.insert(1, 10)
         tlb.insert(2, 20)
-        tlb.insert(3, 30)
-        # Three inserts into two slots: the third replaces a valid entry.
-        assert any(valid for _, valid in events)
+        slot = tlb.insert(3, 30)
+        # Three inserts into two slots: the third replaces the LRU entry.
+        assert slot == first == tlb.lookup(3, count_event=False)
+        assert tlb.virtual_page(slot) == 3 and tlb.physical_page(slot) == 30
+        assert tlb.translation(1) is None and tlb.reverse_lookup(10) is None
+        assert stats["t.eviction"] == 1 and stats["t.fill"] == 3
         assert tlb.occupancy == 2
 
     def test_reinsert_same_page_updates_mapping(self):
@@ -162,3 +166,69 @@ class TestTLBHierarchy:
         hierarchy = TLBHierarchy()
         result = hierarchy.translate_page(12)
         assert result.virtual_page == 12
+
+
+#: Slot choices of a 4-entry uTLB / 8-entry TLB hierarchy with way tables,
+#: recorded from the object-per-entry TLB the slab TLB replaced.  Per seed and
+#: per translation of ``random.Random(seed).randrange(20)`` pages: the uTLB
+#: slot holding the page afterwards, its TLB slot (``-`` once the
+#: non-inclusive TLB dropped it), and the latency class (uTLB hit, TLB hit,
+#: walk).  The random TLB policy's draws and the second-chance hand decide
+#: every slot, so any drift in either shows here.
+REFILL_RECORDING = {
+    0: (
+        "012301231012301023013230123012301230123012302123031230010233",
+        "250416276363117170460167074315070034063603723743533375540066",
+        "wwwwwwtwuwwwtwtuwwtwutwtwwwwwwwtwwttwwwwwwwtuwtwwuwwwuuwtwwu",
+    ),
+    1: (
+        "012301213012301233012301112130123012301002301230132303122301",
+        "012547673347026605741005557523566422743443025752052656200176",
+        "wwwwwwwuwwttwwwwuwwwtwwwuuwuttwwwtwwtuwuuwwwttwwtuwtwuwtutwt",
+    ),
+    2: (
+        "011230123201230123012310231023130023130223210231020031032130",
+        "3556147202301743637-7623264012024402624113172661363372271510",
+        "wwuwwwwwwutwtwwwtwwuwwwwwwtwwwwuwuwutuwtutuwtwwttwuuwtwutwww",
+    ),
+}
+
+
+class TestRefillRecording:
+    @pytest.mark.parametrize("seed", sorted(REFILL_RECORDING))
+    def test_refill_slot_choices_match_recording(self, seed):
+        stats = StatCounters()
+        hierarchy = TLBHierarchy(utlb_entries=4, tlb_entries=8, stats=stats, seed=seed)
+        WayTableHierarchy(hierarchy, stats=stats)
+        rng = random.Random(seed)
+        utlb_slots, tlb_slots, kinds = [], [], []
+        for _ in range(60):
+            result = hierarchy.translate_page(rng.randrange(20))
+            # Reverse lookups: side-effect free, unlike a touching lookup().
+            frame = result.physical_page
+            utlb_slots.append(str(hierarchy.utlb.reverse_lookup(frame, count_event=False)))
+            tlb_slot = hierarchy.tlb.reverse_lookup(frame, count_event=False)
+            tlb_slots.append("-" if tlb_slot is None else str(tlb_slot))
+            kinds.append({0: "u", 1: "t", hierarchy.walk_latency: "w"}[result.latency])
+        assert ("".join(utlb_slots), "".join(tlb_slots), "".join(kinds)) == (
+            REFILL_RECORDING[seed]
+        )
+
+    def test_refill_counters_match_recording(self):
+        stats = StatCounters()
+        hierarchy = TLBHierarchy(utlb_entries=4, tlb_entries=8, stats=stats, seed=0)
+        WayTableHierarchy(hierarchy, stats=stats)
+        rng = random.Random(0)
+        for _ in range(60):
+            hierarchy.translate_page(rng.randrange(20))
+        assert {
+            name: value
+            for name, value in stats.items()
+            if name.startswith(("utlb.", "tlb.", "uwt.", "wt."))
+        } == {
+            "tlb.eviction": 32, "tlb.fill": 40, "tlb.hit": 12, "tlb.lookup": 52,
+            "tlb.miss": 40, "tlb.walk": 40, "utlb.eviction": 48, "utlb.fill": 52,
+            "utlb.hit": 8, "utlb.lookup": 60, "utlb.miss": 52,
+            "uwt.entry_transfer": 52, "uwt.writeback": 32, "wt.clear": 40,
+            "wt.entry_transfer": 32, "wt.page_invalidated": 32,
+        }
