@@ -12,7 +12,8 @@ One frozen dataclass is the single way to configure
     ParallelExecutor(options=options).run(spec)
 
 Every field defaults to ``None`` meaning "the built-in default"
-(``specialized`` kernel, no collector, serial execution, no persistence), so
+(``specialized`` kernel, no collector, one worker process per CPU, no
+persistence), so
 ``RunOptions()`` is always a valid, fully-specified run.
 """
 
@@ -40,7 +41,7 @@ class RunOptions:
     #: execute the kernel's observe variant (observation is strictly
     #: additive, results are bit-identical with and without one)
     collector: Any = None
-    #: worker processes for campaign execution (``None`` = serial)
+    #: worker processes for campaign execution (``None`` = ``os.cpu_count()``)
     jobs: Optional[int] = None
     #: result store: a store URL (``json:dir`` / ``sqlite:db``), a bare
     #: directory path, a live ``ResultStore``, or ``None`` (no persistence)

@@ -1,4 +1,4 @@
-"""Cache substrate: generic set-associative arrays, L1 banks, L2 and misses.
+"""Cache substrate: set-associative slab arrays, L1 banks, L2 and misses.
 
 The L1 data cache matches the configuration of Table II in the paper:
 32 KByte, 4-way set-associative, 64-byte lines, physically indexed and
@@ -12,32 +12,24 @@ Two access modes are exposed, mirroring Sec. V of the paper:
   probed in parallel;
 * *reduced* — the way is known and valid (supplied by a way table or a WDU),
   the tag arrays are bypassed and only the one selected data array is read.
+
+Entry points: :meth:`L1DataCache.load_parts` / :meth:`L1DataCache.store_parts`
+for the L1 (probing through :meth:`CacheBank.read_parts` /
+:meth:`CacheBank.write_parts`, missing through ``L1DataCache._miss``) and
+:meth:`L2Cache.access` for the L2.  Replacement is true LRU, encoded in the
+stamps of :mod:`repro.cache.set_assoc`; each miss path picks its own victim,
+the L1's honouring the 2-bit way-table exclusion of Sec. V.  The remaining
+methods only observe state.
 """
 
-from repro.cache.replacement import (
-    LRUReplacement,
-    RandomReplacement,
-    ReplacementPolicy,
-    SecondChanceReplacement,
-    TreePLRUReplacement,
-    make_replacement_policy,
-)
 from repro.cache.set_assoc import SetAssociativeArray
-from repro.cache.cache_bank import BankAccessResult, CacheBank
-from repro.cache.l1_cache import L1AccessOutcome, L1DataCache
+from repro.cache.cache_bank import CacheBank
+from repro.cache.l1_cache import L1DataCache
 from repro.cache.l2_cache import L2Cache
 
 __all__ = [
-    "ReplacementPolicy",
-    "LRUReplacement",
-    "RandomReplacement",
-    "SecondChanceReplacement",
-    "TreePLRUReplacement",
-    "make_replacement_policy",
     "SetAssociativeArray",
-    "BankAccessResult",
     "CacheBank",
-    "L1AccessOutcome",
     "L1DataCache",
     "L2Cache",
 ]

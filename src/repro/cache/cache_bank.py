@@ -27,52 +27,6 @@ from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
 
-class BankAccessResult:
-    """Outcome of a bank access (slotted: one per access).
-
-    Attributes
-    ----------
-    hit:
-        Whether the line was present.
-    way:
-        Way that hit (or that was filled on a miss, once the fill happened).
-    reduced:
-        True when the access bypassed the tag arrays (way known and valid).
-    way_hint_wrong:
-        True when a supplied way hint did not match reality.  Page-Based Way
-        Determination guarantees hints are valid-or-unknown, so this should
-        stay zero for way tables; the counter exists to validate that claim
-        and to model less precise predictors.
-    evicted_line_address:
-        Line-granular physical address displaced by a fill, if any.
-    """
-
-    __slots__ = (
-        "hit",
-        "way",
-        "reduced",
-        "way_hint_wrong",
-        "evicted_line_address",
-        "evicted_dirty",
-    )
-
-    def __init__(
-        self,
-        hit: bool,
-        way: Optional[int] = None,
-        reduced: bool = False,
-        way_hint_wrong: bool = False,
-        evicted_line_address: Optional[int] = None,
-        evicted_dirty: bool = False,
-    ) -> None:
-        self.hit = hit
-        self.way = way
-        self.reduced = reduced
-        self.way_hint_wrong = way_hint_wrong
-        self.evicted_line_address = evicted_line_address
-        self.evicted_dirty = evicted_dirty
-
-
 class CacheBank:
     """One single-ported, set-associative L1 bank.
 
@@ -93,10 +47,10 @@ class CacheBank:
         When True, line fills avoid the "excluded" way of the 2-bit way-table
         encoding (Sec. V) so every resident line is representable by the WT.
 
-    The bank's lines live in :attr:`array` (LRU).  Misses are handled by
-    :meth:`repro.cache.l1_cache.L1DataCache._miss`, which fills the bank's
-    slabs directly; :meth:`fill` is the bank-level operation without the
-    L2 and way-determination side of a miss.
+    The bank's lines live in :attr:`array` (LRU).  :meth:`read_parts` and
+    :meth:`write_parts` probe the bank and count the array events; misses
+    are handled by :meth:`repro.cache.l1_cache.L1DataCache._miss`, which
+    chooses the victim and fills the bank's slabs directly.
     """
 
     def __init__(
@@ -176,51 +130,16 @@ class CacheBank:
             )
         return parts
 
-    def excluded_way_for(self, physical_address: int) -> Optional[int]:
-        """Way that the 2-bit way-table format cannot express for this line.
-
-        Sec. V: lines 0..3 of a page treat way 0 as "unknown", lines 4..7 way
-        1, and so on — i.e. the excluded way rotates with the line-in-page
-        index divided by the number of banks.
-        """
-        if not self.restrict_way_allocation:
-            return None
-        line_in_page = self.layout.line_in_page(physical_address)
-        return (line_in_page // self.layout.l1_banks) % self.layout.l1_associativity
-
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def read(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        paired_subblock: bool = True,
-    ) -> BankAccessResult:
-        """Service a load.
+    def read_parts(self, set_index: int, tag: int, way_hint: Optional[int]):
+        """Service a load probe of a pre-decomposed address.
 
         ``way_hint`` is the way supplied by a way table or WDU; ``None`` means
-        unknown and forces a conventional access.  ``paired_subblock`` records
-        whether the data arrays return two adjacent sub-blocks (the MALEC
-        assumption that doubles merge opportunities); it only affects event
-        accounting, not hit/miss behaviour.
-        """
-        parts = self._parts(physical_address)
-        hit, way, reduced, hint_wrong = self.read_parts(
-            parts.set_index, parts.tag, way_hint, paired_subblock
-        )
-        return BankAccessResult(
-            hit=hit, way=way, reduced=reduced, way_hint_wrong=hint_wrong
-        )
-
-    def read_parts(
-        self,
-        set_index: int,
-        tag: int,
-        way_hint: Optional[int],
-        paired_subblock: bool = True,
-    ):
-        """Allocation-free core of :meth:`read` for pre-decomposed callers.
+        unknown and forces a conventional access.  The data arrays return two
+        adjacent sub-blocks (the MALEC assumption that doubles merge
+        opportunities), counted as ``l1.subblock_pair_read``.
 
         Returns ``(hit, way, reduced, way_hint_wrong)``.
         """
@@ -232,8 +151,7 @@ class CacheBank:
         if way_hint is not None:
             # Reduced access: tag arrays bypassed, single data array read.
             stats.bump_many(self._combo_reduced_read)
-            if paired_subblock:
-                stats.bump(self._h_subblock_pair_read)
+            stats.bump(self._h_subblock_pair_read)
             if slot == base + way_hint:
                 array._stamp[slot] = array._tick()
                 return True, way_hint, True, False
@@ -244,28 +162,18 @@ class CacheBank:
             hint_wrong = True
         # Conventional access: all tag arrays and all data arrays probed.
         stats.bump_many(self._combo_conv_read)
-        if paired_subblock:
-            stats.bump(self._h_subblock_pair_read)
+        stats.bump(self._h_subblock_pair_read)
         if slot is None:
             return False, None, False, hint_wrong
         array._stamp[slot] = array._tick()
         return True, slot - base, False, hint_wrong
 
-    def write(self, physical_address: int, way_hint: Optional[int] = None) -> BankAccessResult:
+    def write_parts(self, set_index: int, tag: int, way_hint: Optional[int]):
         """Service a store (or merge-buffer eviction) that writes the cache.
 
         Stores always need to know the correct way before writing; without a
         hint the tag arrays are probed first, with a valid hint the probe is
-        skipped (reduced store).
-        """
-        parts = self._parts(physical_address)
-        hit, way, reduced = self.write_parts(parts.set_index, parts.tag, way_hint)
-        return BankAccessResult(hit=hit, way=way, reduced=reduced)
-
-    def write_parts(self, set_index: int, tag: int, way_hint: Optional[int]):
-        """Allocation-free core of :meth:`write` for pre-decomposed callers.
-
-        Returns ``(hit, way, reduced)``.
+        skipped (reduced store).  Returns ``(hit, way, reduced)``.
         """
         stats = self.stats
         array = self.array
@@ -286,39 +194,6 @@ class CacheBank:
         array._dirty[slot] = 1
         array._stamp[slot] = array._tick()
         return True, slot - base, False
-
-    def fill(self, physical_address: int, dirty: bool = False) -> BankAccessResult:
-        """Install the line containing ``physical_address`` (bank side only)."""
-        parts = self._parts(physical_address)
-        set_index = parts.set_index
-        way, evicted_tag, evicted_dirty = self.array.fill(
-            set_index,
-            parts.tag,
-            dirty=dirty,
-            excluded_way=self.excluded_way_for(physical_address),
-        )
-        evicted_address = None
-        if evicted_tag is not None:
-            evicted_address = self.line_address_of(set_index, evicted_tag)
-            self.stats.bump(self._h_eviction)
-            if evicted_dirty:
-                self.stats.bump(self._h_writeback)
-        self.stats.bump_many(self._combo_fill)
-        return BankAccessResult(
-            hit=True,
-            way=way,
-            reduced=False,
-            evicted_line_address=evicted_address,
-            evicted_dirty=evicted_dirty,
-        )
-
-    def line_address_of(self, set_index: int, tag: int) -> int:
-        """Line-granular physical address of the line ``tag`` in ``set_index``."""
-        layout = self.layout
-        line_number = (
-            (tag * self.array.num_sets + set_index) << layout.bank_bits
-        ) | self.bank_index
-        return line_number << layout.line_offset_bits
 
     def way_of(self, physical_address: int) -> Optional[int]:
         """Way currently holding ``physical_address`` or ``None``."""

@@ -23,43 +23,6 @@ from repro.cache.set_assoc import NEVER_VICTIM
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
-class L1AccessOutcome:
-    """Result of a complete L1 access, including miss handling (slotted).
-
-    Attributes
-    ----------
-    hit:
-        True when the access hit in the L1.
-    way:
-        Way holding the line after the access (filled way on a miss).
-    latency:
-        Total latency in cycles, including L2/DRAM time on a miss.
-    reduced:
-        True when the access used the reduced (tag-bypassed) mode.
-    bank:
-        Bank index that serviced the access.
-    way_hint_wrong:
-        True when a supplied hint turned out to be wrong (never for WTs).
-    """
-
-    __slots__ = ("hit", "way", "latency", "reduced", "bank", "way_hint_wrong")
-
-    def __init__(
-        self,
-        hit: bool,
-        way: Optional[int],
-        latency: int,
-        reduced: bool,
-        bank: int,
-        way_hint_wrong: bool = False,
-    ) -> None:
-        self.hit = hit
-        self.way = way
-        self.latency = latency
-        self.reduced = reduced
-        self.bank = bank
-        self.way_hint_wrong = way_hint_wrong
-
 
 class L1DataCache:
     """Four-bank L1 data cache with miss handling and way-determination upkeep.
@@ -132,34 +95,12 @@ class L1DataCache:
         """Bank that owns ``physical_address``."""
         return self.banks[self.layout.decompose(physical_address).bank_index]
 
-    def load(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        allocate_on_miss: bool = True,
-    ) -> L1AccessOutcome:
-        """Service a load, handling the miss path through L2/DRAM."""
-        hit, way, latency, reduced, bank_index, hint_wrong = self.load_parts(
-            physical_address, way_hint, allocate_on_miss
-        )
-        return L1AccessOutcome(
-            hit=hit,
-            way=way,
-            latency=latency,
-            reduced=reduced,
-            bank=bank_index,
-            way_hint_wrong=hint_wrong,
-        )
+    def load_parts(self, physical_address: int, way_hint: Optional[int] = None):
+        """Service a load, handling the miss path through L2/DRAM.
 
-    def load_parts(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        allocate_on_miss: bool = True,
-    ):
-        """Allocation-free core of :meth:`load` for per-access hot paths.
-
-        Returns ``(hit, way, latency, reduced, bank_index, way_hint_wrong)``.
+        Returns ``(hit, way, latency, reduced, bank_index, way_hint_wrong)``;
+        ``latency`` includes the L2/DRAM time of a miss and ``way`` is the
+        filled way on a miss.
         """
         if not 0 <= physical_address <= self.layout.max_address:
             self.layout.check(physical_address)
@@ -174,37 +115,11 @@ class L1DataCache:
             return True, way, self.hit_latency, reduced, bank_index, hint_wrong
 
         self.stats.bump_many(self._combo_load_miss)
-        way, miss_latency = self._miss(
-            bank, set_index, tag, physical_address, False, allocate_on_miss
-        )
+        way, miss_latency = self._miss(bank, set_index, tag, physical_address, False)
         return False, way, self.hit_latency + miss_latency, False, bank_index, hint_wrong
 
-    def store(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        allocate_on_miss: bool = True,
-    ) -> L1AccessOutcome:
-        """Service a store (write-allocate, write-back)."""
-        hit, way, latency, reduced, bank_index = self.store_parts(
-            physical_address, way_hint, allocate_on_miss
-        )
-        return L1AccessOutcome(
-            hit=hit,
-            way=way,
-            latency=latency,
-            reduced=reduced,
-            bank=bank_index,
-            way_hint_wrong=False,
-        )
-
-    def store_parts(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        allocate_on_miss: bool = True,
-    ):
-        """Allocation-free core of :meth:`store` for per-access hot paths.
+    def store_parts(self, physical_address: int, way_hint: Optional[int] = None):
+        """Service a store (write-allocate, write-back).
 
         Returns ``(hit, way, latency, reduced, bank_index)``.
         """
@@ -221,11 +136,8 @@ class L1DataCache:
             return True, way, self.hit_latency, reduced, bank_index
 
         self.stats.bump_many(self._combo_store_miss)
-        way, miss_latency = self._miss(
-            bank, set_index, tag, physical_address, True, allocate_on_miss
-        )
-        if allocate_on_miss:
-            self.stats.bump(self._h_data_write, 1)
+        way, miss_latency = self._miss(bank, set_index, tag, physical_address, True)
+        self.stats.bump(self._h_data_write, 1)
         return False, way, self.hit_latency + miss_latency, False, bank_index
 
     def _miss(
@@ -235,7 +147,6 @@ class L1DataCache:
         tag: int,
         physical_address: int,
         dirty: bool,
-        allocate: bool,
     ):
         """Service an L1 miss after the bank probe; returns ``(way, latency)``.
 
@@ -244,19 +155,19 @@ class L1DataCache:
         when the 2-bit way-table encoding is in force; evict it (counters,
         way-table/WDU invalidation); install the new line in the bank's
         slabs (counters, way-table/WDU update); finally write a dirty victim
-        back to the L2.  ``way`` is ``None`` when ``allocate`` is false.
+        back to the L2.
         """
         l2 = self.l2
         miss_latency = l2.access(physical_address, False)
-        if not allocate:
-            return None, miss_latency
         layout = self.layout
         array = bank.array
         ways = array.ways
         base = set_index * ways
-        # Victim: the smallest LRU stamp of the set (invalid ways sort
-        # first), with the line's excluded way masked under the 2-bit
-        # way-table encoding.
+        # Victim: the smallest LRU stamp of the set.  Never-used ways carry
+        # the smallest stamps (see repro.cache.set_assoc), so this is the
+        # LRU invalid way, else the LRU way.  Under the 2-bit way-table
+        # encoding (Sec. V) lines 0..3 of a page cannot name way 0, lines
+        # 4..7 way 1, and so on: that excluded way is masked first.
         recency = array._stamp[base : base + ways]
         if bank.restrict_way_allocation:
             line_in_page = (physical_address >> layout.line_offset_bits) & layout._line_in_page_mask

@@ -269,10 +269,6 @@ class BaseL1Interface(ABC):
     # ------------------------------------------------------------------
     # Shared helpers used by the concrete interfaces
     # ------------------------------------------------------------------
-    def _translate(self, virtual_address: int):
-        """Translate one address through the uTLB/TLB (charging lookups)."""
-        return self.translation.translate(virtual_address)
-
     def _forwarding_lookups(self, virtual_address: int, size: int, split: bool) -> None:
         """Search SB and MB for store-to-load forwarding (energy bookkeeping).
 

@@ -68,7 +68,7 @@ class BaselineSingleInterface(BaseL1Interface):
         # The baseline translates every memory reference individually; the
         # store's translation shares the cycle's single TLB port with its
         # address computation.
-        self.translation.translate_probe(address)
+        self.translation.translate_pair(address)
 
     # ------------------------------------------------------------------
     def _service_cycle(self, cycle: int) -> List[CompletedAccess]:

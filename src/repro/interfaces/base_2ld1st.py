@@ -77,7 +77,7 @@ class BaselineDualLoadInterface(BaseL1Interface):
     def _on_store_submitted(self, address: int, size: int, cycle: int) -> None:
         # Each memory reference is translated individually through one of the
         # three TLB ports.
-        self.translation.translate_probe(address)
+        self.translation.translate_pair(address)
 
     # ------------------------------------------------------------------
     def _service_cycle(self, cycle: int) -> List[CompletedAccess]:

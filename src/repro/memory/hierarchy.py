@@ -68,7 +68,3 @@ class MemoryHierarchy:
             l2=self.l2,
             stats=self.stats,
         )
-
-    def reset_stats(self) -> None:
-        """Clear all counters (structures keep their contents)."""
-        self.stats.clear()

@@ -39,7 +39,7 @@ over the same interface observes identical structures.
 
 The emitted module also begins with a battery of *runtime guards*: if the
 live pipeline/interface does not match the generation-time spec (someone
-swapped the uTLB policy, resized a buffer, …) ``kernel_run`` returns
+resized a buffer, changed the cache geometry, …) ``kernel_run`` returns
 ``None`` before touching anything and the caller falls back to the
 reference loop.
 
@@ -61,7 +61,7 @@ from __future__ import annotations
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 2
+GENERATOR_VERSION = 3
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -227,8 +227,6 @@ def _guards(spec: dict) -> str:
         "        return None",
         "    translation = interface.translation",
         "    utlb = translation.utlb",
-        '    if type(utlb._policy).__name__ != "SecondChanceReplacement":',
-        "        return None",
     ]
     if kind == "Base1ldst":
         lines += [
@@ -282,7 +280,7 @@ def _prologue(spec: dict) -> str:
         "    refill = translation.refill",
         "    utlb_by_vpage_get = utlb._by_vpage.get",
         "    utlb_ppage = utlb._ppage",
-        "    utlb_referenced = utlb._policy._referenced",
+        "    utlb_referenced = utlb._referenced",
         "    lq_entries = load_queue._entries",
         "    sb_entries = store_buffer._entries",
         "    sb_by_tag = store_buffer._by_tag",
@@ -707,7 +705,7 @@ def _issue_store(spec: dict) -> str:
     if kind == "MALEC":
         probe = ""  # MALEC does not translate at store submission
     else:
-        # _on_store_submitted: translate_probe with the uTLB-hit fast path
+        # _on_store_submitted: translate_pair with the uTLB-hit fast path
         probe = f"""
                         vpage = address >> {spec['page_shift']}
                         slot = utlb_by_vpage_get(vpage)

@@ -7,14 +7,19 @@ cache performs line fills and evictions with *physical* tags — support
 reverse lookups by physical page id in addition to the usual virtual-page
 lookups (Sec. V).  The uTLB uses second-chance replacement, the TLB random
 replacement, as chosen by the paper to limit uWT/WT entry transfers.
+
+Entry points: :meth:`TLBHierarchy.translate_pair` translates an address and
+:meth:`TLBHierarchy.translate_page_pair` a page id, each returning the
+result and the added latency (0 for a uTLB hit, 1 for a TLB hit,
+``walk_latency`` for a page walk); a uTLB miss goes through
+:meth:`TLBHierarchy.refill`, which holds both victim choices.
 """
 
 from repro.tlb.page_table import PageTable
-from repro.tlb.tlb import TLB, TLBHierarchy, TranslationResult
+from repro.tlb.tlb import TLB, TLBHierarchy
 
 __all__ = [
     "PageTable",
     "TLB",
     "TLBHierarchy",
-    "TranslationResult",
 ]

@@ -99,7 +99,3 @@ class PageTable:
     def mapped_pages(self) -> int:
         """Number of virtual pages mapped so far (the workload footprint)."""
         return len(self._vpage_to_ppage)
-
-    def is_mapped(self, virtual_page: int) -> bool:
-        """True if ``virtual_page`` has already been touched."""
-        return virtual_page in self._vpage_to_ppage

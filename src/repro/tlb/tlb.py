@@ -8,71 +8,44 @@ level must be located from those physical addresses.  The energy methodology
 (a virtual one and a physical one) in front of the shared WT data array;
 this module counts the corresponding events separately.
 
-Replacement follows the paper: second chance for the uTLB (to limit the
-number of full uWT→WT entry transfers) and random for the TLB.
+Replacement follows the paper (Sec. V, Table II): second chance for the
+uTLB, to limit the number of full uWT→WT entry transfers, and random for the
+TLB.  Both victim choices live in :meth:`TLBHierarchy.refill`, the only
+place a translation is installed.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import filterfalse
 from typing import List, Optional, Tuple
 
-from repro.cache.replacement import make_replacement_policy
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.page_table import PageTable
-
-
-class TranslationResult:
-    """Outcome of a full address translation through the TLB hierarchy."""
-
-    __slots__ = (
-        "virtual_page",
-        "physical_page",
-        "physical_address",
-        "utlb_hit",
-        "tlb_hit",
-        "latency",
-    )
-
-    def __init__(
-        self,
-        virtual_page: int,
-        physical_page: int,
-        physical_address: int,
-        utlb_hit: bool,
-        tlb_hit: bool,
-        latency: int,
-    ) -> None:
-        self.virtual_page = virtual_page
-        self.physical_page = physical_page
-        self.physical_address = physical_address
-        self.utlb_hit = utlb_hit
-        self.tlb_hit = tlb_hit
-        self.latency = latency
 
 
 class TLB:
     """A fully-associative translation buffer of ``entries`` slots.
 
     The class is used for both the 64-entry main TLB and the 16-entry uTLB
-    (Table II); only the size and the replacement policy differ.  Way tables
-    index their entries by TLB slot, so the slot index is part of every
-    lookup result.
+    (Table II); only the size differs here, the replacement policy is the
+    hierarchy's (:meth:`TLBHierarchy.refill`).  Way tables index their
+    entries by TLB slot, so the slot index is part of every lookup result.
 
-    Slot state lives in flat slabs indexed by slot — ``_vpage``, ``_ppage``
-    and ``_valid`` — next to the replacement policy's own per-slot state
-    (the second-chance reference bits, or the random policy's RNG).  The
-    ``_by_vpage`` / ``_by_ppage`` dicts index the valid slots both ways.
+    Slot state lives in flat slabs indexed by slot: ``_vpage``, ``_ppage``,
+    ``_valid`` and ``_referenced``, the reference bit set on every lookup
+    hit and install (the uTLB's second-chance sweep reads and clears it; the
+    random TLB never reads it).  The ``_by_vpage`` / ``_by_ppage`` dicts
+    index the valid slots both ways.
     """
 
     def __init__(
         self,
         entries: int,
         name: str = "tlb",
-        replacement: str = "random",
         layout: AddressLayout = DEFAULT_LAYOUT,
         stats: Optional[StatCounters] = None,
-        seed: int = 0,
     ) -> None:
         if entries <= 0:
             raise ValueError("a TLB needs at least one entry")
@@ -83,7 +56,7 @@ class TLB:
         self._vpage: List[int] = [0] * entries
         self._ppage: List[int] = [0] * entries
         self._valid = bytearray(entries)
-        self._policy = make_replacement_policy(replacement, entries, seed=seed)
+        self._referenced = bytearray(entries)
         self._by_vpage: dict = {}
         self._by_ppage: dict = {}
         self._valid_count = 0
@@ -128,7 +101,7 @@ class TLB:
             return None
         if count_event:
             self.stats.bump_many(self._combo_hit)
-        self._policy.touch(slot)
+        self._referenced[slot] = 1
         return slot
 
     def reverse_lookup(self, physical_page: int, count_event: bool = True) -> Optional[int]:
@@ -169,7 +142,7 @@ class TLB:
     def _install(self, slot: int, virtual_page: int, physical_page: int):
         """Write a translation into ``slot``; returns the physical page it
         replaced (``None`` if the slot was empty).  Counts the fill (and the
-        eviction) and marks the slot used for the replacement policy."""
+        eviction) and sets the slot's reference bit."""
         old_ppage = None
         values = self.stats._values
         live = self.stats._live
@@ -186,40 +159,10 @@ class TLB:
         self._ppage[slot] = physical_page
         self._by_vpage[virtual_page] = slot
         self._by_ppage[physical_page] = slot
-        self._policy.touch(slot)
+        self._referenced[slot] = 1
         values[self._h_fill] += 1
         live[self._h_fill] = True
         return old_ppage
-
-    def insert(self, virtual_page: int, physical_page: int) -> int:
-        """Install a translation and return the slot index used.
-
-        If the virtual page is already resident its slot is refreshed;
-        otherwise a victim chosen by the replacement policy is overwritten.
-        Way tables are kept in step by :meth:`TLBHierarchy.refill`, not here.
-        """
-        existing = self._by_vpage.get(virtual_page)
-        if existing is not None:
-            old_ppage = self._ppage[existing]
-            if old_ppage != physical_page:
-                self._by_ppage.pop(old_ppage, None)
-                self._ppage[existing] = physical_page
-                self._by_ppage[physical_page] = existing
-            self._policy.touch(existing)
-            return existing
-        if self._valid_count >= self.entries:
-            slot = self._policy.victim_full()
-        else:
-            slot = self._policy.victim(self._valid)
-        self._install(slot, virtual_page, physical_page)
-        return slot
-
-    def invalidate_all(self) -> None:
-        """Drop every translation (used for context switches)."""
-        self._valid[:] = bytes(self.entries)
-        self._by_vpage.clear()
-        self._by_ppage.clear()
-        self._valid_count = 0
 
 
 class TLBHierarchy:
@@ -229,6 +172,10 @@ class TLBHierarchy:
     replacement in front of a 64-entry TLB with random replacement.  A uTLB
     miss that hits in the TLB refills the uTLB; a TLB miss walks the page
     table (``walk_latency`` cycles) and refills both levels.
+
+    The replacement state the two policies need beyond the TLBs' reference
+    bits lives here: the uTLB's clock hand and the TLB's private RNG
+    (``random.Random(seed + 1)``).
     """
 
     def __init__(
@@ -247,28 +194,13 @@ class TLBHierarchy:
         self.page_table = page_table if page_table is not None else PageTable(
             layout=layout, seed=seed, stats=self.stats
         )
-        self.utlb = TLB(
-            utlb_entries,
-            name="utlb",
-            replacement="second_chance",
-            layout=layout,
-            stats=self.stats,
-            seed=seed,
-        )
-        self.tlb = TLB(
-            tlb_entries,
-            name="tlb",
-            replacement="random",
-            layout=layout,
-            stats=self.stats,
-            seed=seed + 1,
-        )
+        self.utlb = TLB(utlb_entries, name="utlb", layout=layout, stats=self.stats)
+        self.tlb = TLB(tlb_entries, name="tlb", layout=layout, stats=self.stats)
         self._h_walk = self.stats.handle("tlb.walk")
         self._page_shift = layout.page_offset_bits
-        # Replacement state the refill drives directly.
-        self._utlb_policy = self.utlb._policy
-        self._utlb_referenced = self.utlb._policy._referenced
-        self._tlb_rng = self.tlb._policy._rng
+        #: second-chance clock hand of the uTLB (next slot the sweep visits)
+        self._utlb_hand = 0
+        self._tlb_rng = random.Random(seed + 1)
         self._tlb_slots = range(tlb_entries)
         #: way tables kept in step with slot replacements (set by
         #: :class:`repro.core.way_table.WayTableHierarchy`)
@@ -282,9 +214,12 @@ class TLBHierarchy:
         the TLB's random victim; install it over the uTLB's second-chance
         victim.  With way tables attached, each recycled slot updates them:
         a TLB slot clears its WT entry, a uTLB slot writes its uWT entry back
-        to the WT and loads the incoming page's WT entry.  The victim choices
-        draw exactly what :meth:`RandomReplacement.victim_full` and
-        :meth:`SecondChanceReplacement.victim_full` would.
+        to the WT and loads the incoming page's WT entry.
+
+        Victims: while a level has invalid slots, the uTLB takes the lowest
+        invalid slot and the TLB draws ``rng.choice`` over its invalid slots
+        in index order.  A full TLB draws over all slots; a full uTLB runs
+        the second-chance sweep.
         """
         values = self.stats._values
         live = self.stats._live
@@ -295,11 +230,10 @@ class TLBHierarchy:
             live[handle] = True
         tlb_slot = tlb._by_vpage.get(virtual_page)
         if tlb_slot is not None:
-            # (A TLB hit needs no replacement update: the random policy
-            # keeps no use state.)
             for handle, amount in tlb._combo_hit:
                 values[handle] += amount
                 live[handle] = True
+            tlb._referenced[tlb_slot] = 1
             physical_page = tlb._ppage[tlb_slot]
             latency = 1
         else:
@@ -312,7 +246,9 @@ class TLBHierarchy:
             if tlb._valid_count >= tlb.entries:
                 tlb_slot = self._tlb_rng.choice(self._tlb_slots)
             else:
-                tlb_slot = tlb._policy.victim(tlb._valid)
+                tlb_slot = self._tlb_rng.choice(
+                    list(filterfalse(tlb._valid.__getitem__, self._tlb_slots))
+                )
             replaced = tlb._install(tlb_slot, virtual_page, physical_page)
             if self.way_tables is not None:
                 self.way_tables.tlb_slot_replaced(tlb_slot, replaced is not None)
@@ -320,65 +256,38 @@ class TLBHierarchy:
         if utlb._valid_count >= utlb.entries:
             # Second-chance sweep: the hand clears each set reference bit it
             # passes and stops at the first clear one (within one turn).
-            referenced = self._utlb_referenced
+            referenced = utlb._referenced
             entries = utlb.entries
-            hand = self._utlb_policy._hand
+            hand = self._utlb_hand
             while True:
                 slot = hand
                 hand = (hand + 1) % entries
                 if not referenced[slot]:
                     break
-                referenced[slot] = False
-            self._utlb_policy._hand = hand
+                referenced[slot] = 0
+            self._utlb_hand = hand
         else:
-            slot = utlb._policy.victim(utlb._valid)
+            slot = utlb._valid.index(0)
         old_ppage = utlb._install(slot, virtual_page, physical_page)
         if self.way_tables is not None:
             self.way_tables.utlb_slot_replaced(slot, old_ppage, virtual_page)
         return physical_page, latency
 
-    def translate(self, virtual_address: int) -> TranslationResult:
-        """Translate ``virtual_address``; refills uTLB/TLB as needed.
-
-        The returned latency is the *additional* translation latency beyond
-        the pipelined uTLB access: 0 for a uTLB hit, 1 cycle for a TLB hit,
-        ``walk_latency`` cycles for a page walk.
-        """
-        parts = self.layout.decompose(virtual_address)
-        vpage = parts.page_id
-        utlb = self.utlb
-        slot = utlb._by_vpage.get(vpage)
-        if slot is not None:
-            self.stats.bump_many(utlb._combo_hit)
-            utlb._policy.touch(slot)
-            ppage, latency = utlb._ppage[slot], 0
-            utlb_hit = tlb_hit = True
-        else:
-            utlb_hit = False
-            tlb_hit = vpage in self.tlb._by_vpage
-            ppage, latency = self.refill(vpage)
-        return TranslationResult(
-            virtual_page=vpage,
-            physical_page=ppage,
-            physical_address=(ppage << self._page_shift) | parts.page_offset,
-            utlb_hit=utlb_hit,
-            tlb_hit=tlb_hit,
-            latency=latency,
-        )
-
     def translate_pair(self, virtual_address: int):
-        """Translate, returning only ``(physical_address, latency)``.
+        """Translate an address; returns ``(physical_address, latency)``.
 
-        Identical state changes and statistics to :meth:`translate`, without
-        the :class:`TranslationResult` allocation — the per-load path of the
-        interface models only consumes these two fields.
+        The latency is the *additional* translation latency beyond the
+        pipelined uTLB access: 0 for a uTLB hit, 1 cycle for a TLB hit,
+        ``walk_latency`` cycles for a page walk.  uTLB/TLB refills, walks
+        and counters happen as for any translation.
         """
         parts = self.layout.decompose(virtual_address)
         ppage, latency = self.translate_page_pair(parts.page_id)
         return ((ppage << self._page_shift) | parts.page_offset, latency)
 
     def translate_page_pair(self, virtual_page: int):
-        """Translate a bare page id, returning ``(physical_page, latency)``.
+        """Translate a bare page id; returns ``(physical_page, latency)``,
+        the latency as for :meth:`translate_pair`.
 
         The MALEC interface translates once per page group and only needs
         the physical page id and the added latency.
@@ -387,20 +296,6 @@ class TLBHierarchy:
         slot = utlb._by_vpage.get(virtual_page)
         if slot is not None:
             self.stats.bump_many(utlb._combo_hit)
-            utlb._policy.touch(slot)
+            utlb._referenced[slot] = 1
             return (utlb._ppage[slot], 0)
         return self.refill(virtual_page)
-
-    def translate_probe(self, virtual_address: int) -> None:
-        """Perform a translation purely for its side effects.
-
-        Identical state changes and statistics to :meth:`translate` (uTLB/TLB
-        refills, walks, counters) without building a
-        :class:`TranslationResult`.  The baselines use this for stores, whose
-        translation result is discarded.
-        """
-        self.translate_page_pair(self.layout.decompose(virtual_address).page_id)
-
-    def translate_page(self, virtual_page: int) -> TranslationResult:
-        """Translate a bare virtual page id (offset 0)."""
-        return self.translate(self.layout.compose(virtual_page, 0))

@@ -83,6 +83,12 @@ class TraceFormatError(ValueError):
     """A malformed, truncated or unsupported ``.rtrc`` payload."""
 
 
+#: kind codes are 0/1/2; anything else in the kinds column is corrupt
+_VALID_KINDS = b"\x00\x01\x02"
+
+_ZERO_U32 = b"\x00\x00\x00\x00"
+
+
 def _open_binary(path: Union[str, Path], mode: str):
     """Open ``path`` in binary mode, transparently gzipped for ``.gz`` names."""
     if str(path).endswith(".gz"):
@@ -177,6 +183,64 @@ def trace_fingerprint(trace) -> str:
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
+def _lift_columns(view, records_start: int, records_end: int):
+    """The ``kinds``, ``ndeps`` and ``sizes`` columns of the record section.
+
+    One strided slice per byte lane: ``kinds``/``ndeps`` are ``bytes``,
+    ``sizes`` an ``array('H')`` in host byte order.
+    """
+    kinds = bytes(view[records_start:records_end:_RECORD.size])
+    ndeps = bytes(view[records_start + 1 : records_end : _RECORD.size])
+    size_lanes = bytearray(2 * len(kinds))
+    size_lanes[0::2] = view[records_start + 2 : records_end : _RECORD.size]
+    size_lanes[1::2] = view[records_start + 3 : records_end : _RECORD.size]
+    sizes = array("H")
+    sizes.frombytes(size_lanes)
+    if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere we run
+        sizes.byteswap()
+    return kinds, ndeps, sizes
+
+
+def _check_columns(kinds: bytes, ndeps: bytes, sizes, deps_bytes, deps_len: int) -> None:
+    """Reject corrupt column content with the offending record in the message.
+
+    Both decoders run this before building anything, so the object and the
+    columnar form reject the same payloads with the same diagnostics.
+    """
+    invalid = kinds.translate(None, _VALID_KINDS)
+    if invalid:
+        index = next(i for i, code in enumerate(kinds) if code > 2)
+        raise TraceFormatError(
+            f"unknown .rtrc instruction kind code {kinds[index]} (record {index})"
+        )
+    consumed = sum(ndeps)
+    if consumed != deps_len:
+        raise TraceFormatError(
+            f"inconsistent .rtrc dependency pool: records consume {consumed} "
+            f"entries, pool holds {deps_len}"
+        )
+    # A zero dependency distance is corrupt (distances are positive backward
+    # offsets).  Scanning for an *aligned* all-zero u32 stays at C speed: a
+    # find() hit that is not itself an aligned entry can only overlap one
+    # aligned candidate, which is checked and then skipped past.
+    pos = deps_bytes.find(_ZERO_U32)
+    while pos != -1:
+        start = pos + (-pos % 4)
+        if start + 4 <= len(deps_bytes) and deps_bytes[start : start + 4] == _ZERO_U32:
+            raise TraceFormatError(
+                f"corrupt .rtrc dependency pool: entry {start // 4} is zero "
+                "(distances are positive backward offsets)"
+            )
+        pos = deps_bytes.find(_ZERO_U32, max(start, pos + 1))
+    if 0 in sizes:
+        for index, size in enumerate(sizes):
+            if size == 0 and kinds[index] != 0:
+                raise TraceFormatError(
+                    f"corrupt .rtrc record {index}: "
+                    f"{'load' if kinds[index] == 1 else 'store'} with zero size"
+                )
+
+
 def read_header(data: bytes) -> dict:
     """Parse and validate the prelude of an ``.rtrc`` payload.
 
@@ -231,8 +295,13 @@ def decode_trace(data: bytes):
             f"truncated or oversized .rtrc body: expected {deps_end} bytes "
             f"({count} records + {deps_len} deps), got {len(data)}"
         )
+    view = memoryview(data)
+    deps_bytes = data[records_end:deps_end]
+    _check_columns(
+        *_lift_columns(view, records_start, records_end), deps_bytes, deps_len
+    )
     deps_pool = array("I")
-    deps_pool.frombytes(data[records_end:deps_end])
+    deps_pool.frombytes(deps_bytes)
     if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere we run
         deps_pool.byteswap()
 
@@ -241,11 +310,9 @@ def decode_trace(data: bytes):
     kinds_by_code = _KINDS_BY_CODE
     cursor = 0
     for kind_code, ndeps, size, address in _RECORD.iter_unpack(
-        memoryview(data)[records_start:records_end]
+        view[records_start:records_end]
     ):
-        kind = kinds_by_code.get(kind_code)
-        if kind is None:
-            raise TraceFormatError(f"unknown .rtrc instruction kind code {kind_code}")
+        kind = kinds_by_code[kind_code]
         deps: Tuple[int, ...] = ()
         if ndeps:
             deps = tuple(deps_pool[cursor : cursor + ndeps])
@@ -257,11 +324,6 @@ def decode_trace(data: bytes):
                 size=size,
                 deps=deps,
             )
-        )
-    if cursor != deps_len:
-        raise TraceFormatError(
-            f"inconsistent .rtrc dependency pool: records consume {cursor} "
-            f"entries, pool holds {deps_len}"
         )
     return MemoryTrace(
         name=header["name"],

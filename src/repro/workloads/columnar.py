@@ -43,11 +43,12 @@ runs on those materialized objects (``kernel="generic"``), and
 ``tests/test_kernel_differential.py`` holds the kernel on columns to full
 ``StatCounters``-and-energy equality with it.
 
-Validation mirrors :func:`repro.workloads.binfmt.decode_trace`: truncated or
-oversized bodies, unknown kind codes, zero dependency distances, zero-size
-memory accesses and a dependency pool inconsistent with the per-record
-``ndeps`` counts all raise :class:`~repro.workloads.binfmt.TraceFormatError`
-with the offending record/entry in the message.
+Validation is shared with :func:`repro.workloads.binfmt.decode_trace`
+(both call ``binfmt._check_columns``): truncated or oversized bodies,
+unknown kind codes, zero dependency distances, zero-size memory accesses
+and a dependency pool inconsistent with the per-record ``ndeps`` counts all
+raise :class:`~repro.workloads.binfmt.TraceFormatError` with the offending
+record/entry in the message.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ from repro.workloads.binfmt import (
     RTRC_MAGIC,
     RTRC_VERSION,
     TraceFormatError,
+    _check_columns,
+    _lift_columns,
     _open_binary,
     fingerprint_sections,
     read_header,
@@ -77,49 +80,8 @@ from repro.workloads.binfmt import (
 #: bytes per ``.rtrc`` record (kind u8, ndeps u8, size u16, address u64)
 _RECORD_SIZE = _RECORD.size
 
-#: kind codes are 0/1/2; anything else in the kinds column is corrupt
-_VALID_KINDS = b"\x00\x01\x02"
-
 #: finds runs of records that carry dependencies (non-zero ``ndeps`` bytes)
 _DEP_RUNS = re.compile(rb"[^\x00]+")
-
-_ZERO_U32 = b"\x00\x00\x00\x00"
-
-
-def _check_columns(kinds: bytes, ndeps: bytes, sizes, deps_bytes, deps_len: int) -> None:
-    """Reject corrupt column content with the offending record in the message."""
-    invalid = kinds.translate(None, _VALID_KINDS)
-    if invalid:
-        index = next(i for i, code in enumerate(kinds) if code > 2)
-        raise TraceFormatError(
-            f"unknown .rtrc instruction kind code {kinds[index]} (record {index})"
-        )
-    consumed = sum(ndeps)
-    if consumed != deps_len:
-        raise TraceFormatError(
-            f"inconsistent .rtrc dependency pool: records consume {consumed} "
-            f"entries, pool holds {deps_len}"
-        )
-    # A zero dependency distance is corrupt (distances are positive backward
-    # offsets).  Scanning for an *aligned* all-zero u32 stays at C speed: a
-    # find() hit that is not itself an aligned entry can only overlap one
-    # aligned candidate, which is checked and then skipped past.
-    pos = deps_bytes.find(_ZERO_U32)
-    while pos != -1:
-        start = pos + (-pos % 4)
-        if start + 4 <= len(deps_bytes) and deps_bytes[start : start + 4] == _ZERO_U32:
-            raise TraceFormatError(
-                f"corrupt .rtrc dependency pool: entry {start // 4} is zero "
-                "(distances are positive backward offsets)"
-            )
-        pos = deps_bytes.find(_ZERO_U32, max(start, pos + 1))
-    if 0 in sizes:
-        for index, size in enumerate(sizes):
-            if size == 0 and kinds[index] != 0:
-                raise TraceFormatError(
-                    f"corrupt .rtrc record {index}: "
-                    f"{'load' if kinds[index] == 1 else 'store'} with zero size"
-                )
 
 
 class ColumnarSlice:
@@ -223,7 +185,7 @@ class ColumnarTrace:
 
         The column lift is a fixed number of strided byte slices (one per
         byte lane), the dependency pool a zero-copy view; validation matches
-        :func:`repro.workloads.binfmt.decode_trace` diagnostic-for-diagnostic.
+        :func:`repro.workloads.binfmt.decode_trace` (one shared checker).
         """
         if not isinstance(data, bytes):
             data = bytes(data)
@@ -239,15 +201,8 @@ class ColumnarTrace:
                 f"({count} records + {deps_len} deps), got {len(data)}"
             )
         view = memoryview(data)
-        # Single-byte columns: one strided slice each.
-        kinds = bytes(view[records_start + 0 : records_end : _RECORD_SIZE])
-        ndeps = bytes(view[records_start + 1 : records_end : _RECORD_SIZE])
-        # Multi-byte columns: gather each byte lane, then reinterpret packed.
-        size_lanes = bytearray(2 * count)
-        size_lanes[0::2] = view[records_start + 2 : records_end : _RECORD_SIZE]
-        size_lanes[1::2] = view[records_start + 3 : records_end : _RECORD_SIZE]
-        sizes = array("H")
-        sizes.frombytes(size_lanes)
+        kinds, ndeps, sizes = _lift_columns(view, records_start, records_end)
+        # Addresses: gather each byte lane, then reinterpret packed.
         address_lanes = bytearray(8 * count)
         for lane in range(8):
             address_lanes[lane::8] = view[
@@ -259,7 +214,6 @@ class ColumnarTrace:
         if sys.byteorder == "little":
             deps_pool = deps_bytes.cast("I")
         else:  # pragma: no cover - LE hosts everywhere we run
-            sizes.byteswap()
             addresses.byteswap()
             deps_pool = array("I")
             deps_pool.frombytes(deps_bytes)

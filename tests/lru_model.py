@@ -1,12 +1,14 @@
-"""A deliberately naive list-based LRU cache array, the oracle for the slab
-:class:`repro.cache.set_assoc.SetAssociativeArray`.
+"""A deliberately naive list-based LRU cache array, the oracle for the cache
+miss paths (:meth:`repro.cache.l1_cache.L1DataCache._miss` and
+:meth:`repro.cache.l2_cache.L2Cache.access`), which keep their state in the
+stamp slabs of :class:`repro.cache.set_assoc.SetAssociativeArray`.
 
 Each set is a list of ``[tag, dirty]`` ways (``None`` when invalid) plus a
 recency stack of way numbers, most recently used first, that starts as
 ``0, 1, …, ways - 1``.  Every rule is spelled out the slow way: a use moves
-the way to the front of the stack, invalidation leaves the stack alone, and
-the victim is the least recently used invalid way outside the excluded way,
-else the least recently used way outside it.
+the way to the front of the stack, and the victim is the least recently used
+invalid way outside the excluded way, else the least recently used way
+outside it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ class ListLRUArray:
         return (invalid or allowed)[0]
 
     def fill(self, set_index, tag, dirty=False, excluded_way=None):
+        """Access ``tag``: a hit is touched and its dirty bit OR-ed with
+        ``dirty``; a miss replaces :meth:`victim`.  Returns ``(way,
+        evicted_tag, evicted_dirty)``, ``evicted_tag`` ``None`` when no
+        valid line was displaced."""
         way = self.find_way(set_index, tag)
         if way is not None:
             self.lines[set_index][way][1] |= dirty
@@ -50,17 +56,6 @@ class ListLRUArray:
         if old is None:
             return way, None, False
         return way, old[0], old[1]
-
-    def invalidate(self, set_index, tag):
-        way = self.find_way(set_index, tag, update_replacement=False)
-        if way is None:
-            return False
-        self.lines[set_index][way] = None
-        return True
-
-    def invalidate_all(self):
-        for lines in self.lines:
-            lines[:] = [None] * self.ways
 
     def valid_tags(self, set_index):
         return [line[0] for line in self.lines[set_index] if line is not None]

@@ -4,6 +4,7 @@ options=/legacy-kwarg exclusivity rule of the executor."""
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 
@@ -83,3 +84,7 @@ class TestExecutorOptions:
         assert executor.jobs == 1
         assert executor.store is not None
         assert executor.store.url.startswith("json:")
+
+    def test_default_jobs_is_one_worker_per_cpu(self):
+        """``jobs=None`` means a worker per CPU, not serial execution."""
+        assert ParallelExecutor(options=RunOptions()).jobs == (os.cpu_count() or 1)

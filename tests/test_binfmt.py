@@ -37,6 +37,14 @@ def _sample_trace(name: str = "sample") -> MemoryTrace:
     )
 
 
+def _zero_size_payload(index: int) -> bytes:
+    """The sample trace's payload with record ``index``'s size field zeroed."""
+    payload = bytearray(encode_trace(_sample_trace()))
+    offset = read_header(bytes(payload))["body_offset"] + 12 * index + 2
+    payload[offset : offset + 2] = b"\x00\x00"
+    return bytes(payload)
+
+
 class TestRoundTrip:
     def test_decode_restores_every_instruction(self):
         trace = _sample_trace()
@@ -98,6 +106,12 @@ class TestFileIO:
         with pytest.raises(TraceFormatError, match="bad.rtrc"):
             load_rtrc(path)
 
+    def test_corrupt_record_error_names_file_and_record(self, tmp_path):
+        path = tmp_path / "bad.rtrc"
+        path.write_bytes(_zero_size_payload(0))
+        with pytest.raises(TraceFormatError, match=r"bad\.rtrc: .*record 0: load"):
+            load_rtrc(path)
+
 
 class TestMalformedPayloads:
     def test_truncated_header(self):
@@ -130,6 +144,19 @@ class TestMalformedPayloads:
         payload = encode_trace(_sample_trace(name="a-rather-long-trace-name"))
         with pytest.raises(TraceFormatError, match="name/suite cut short"):
             decode_trace(payload[:58])
+
+    def test_zero_size_record_names_the_record(self):
+        payload = _zero_size_payload(3)  # the one-byte load
+        with pytest.raises(TraceFormatError, match=r"record 3: load with zero size"):
+            decode_trace(payload)
+
+    def test_zero_dependency_distance_names_the_entry(self):
+        payload = bytearray(encode_trace(_sample_trace()))
+        # The pool holds 1, 2, 1, 4 (records 1, 2 and 5); zero entry 2.
+        start = len(payload) - 4 * 2
+        payload[start : start + 4] = bytes(4)
+        with pytest.raises(TraceFormatError, match="entry 2 is zero"):
+            decode_trace(bytes(payload))
 
 
 class TestFingerprint:

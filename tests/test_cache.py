@@ -17,106 +17,116 @@ def addr(page: int, line: int, offset: int = 0) -> int:
     return layout.compose_line(page, line, offset)
 
 
+def decompose(address: int):
+    parts = layout.decompose(address)
+    return parts.set_index, parts.tag
+
+
 class TestCacheBank:
     def test_rejects_foreign_bank_address(self):
         bank = CacheBank(bank_index=0)
         with pytest.raises(ValueError):
-            bank.read(addr(1, 1))  # line 1 belongs to bank 1
+            bank.way_of(addr(1, 1))  # line 1 belongs to bank 1
 
     def test_conventional_read_counts_all_ways(self, stats):
         bank = CacheBank(bank_index=0, stats=stats)
-        bank.read(addr(1, 0))
+        assert bank.read_parts(*decompose(addr(1, 0)), None) == (False, None, False, False)
         assert stats["l1.tag_read"] == layout.l1_associativity
         assert stats["l1.data_read"] == layout.l1_associativity
         assert stats["l1.conventional_access"] == 1
+        assert stats["l1.subblock_pair_read"] == 1
         assert stats["l1.ctrl"] == 1
 
     def test_reduced_read_counts_single_data_array(self, stats):
-        bank = CacheBank(bank_index=0, stats=stats)
-        fill = bank.fill(addr(1, 0))
+        l1 = L1DataCache(stats=stats)
+        way = l1.load_parts(addr(1, 0))[1]
         stats.clear()
-        result = bank.read(addr(1, 0), way_hint=fill.way)
-        assert result.hit and result.reduced
+        hit, _, _, reduced, _, hint_wrong = l1.load_parts(addr(1, 0), way_hint=way)
+        assert hit and reduced and not hint_wrong
         assert stats["l1.tag_read"] == 0
         assert stats["l1.data_read"] == 1
         assert stats["l1.reduced_access"] == 1
 
     def test_wrong_way_hint_falls_back_to_conventional(self, stats):
-        bank = CacheBank(bank_index=0, stats=stats)
-        fill = bank.fill(addr(1, 0))
-        wrong = (fill.way + 1) % layout.l1_associativity
-        result = bank.read(addr(1, 0), way_hint=wrong)
-        assert result.hit and result.way_hint_wrong
+        l1 = L1DataCache(stats=stats)
+        way = l1.load_parts(addr(1, 0))[1]
+        stats.clear()
+        wrong = (way + 1) % layout.l1_associativity
+        hit, hit_way, _, reduced, _, hint_wrong = l1.load_parts(addr(1, 0), way_hint=wrong)
+        assert hit and hit_way == way and not reduced and hint_wrong
         assert stats["l1.way_hint_wrong"] == 1
         assert stats["l1.conventional_access"] == 1
 
-    def test_fill_reports_the_evicted_line(self, stats):
-        bank = CacheBank(bank_index=0, stats=stats)
-        # Fill more lines than the set holds (same set, different tags).
-        set_span = layout.l1_banks * layout.l1_sets_per_bank  # lines between same-set addresses
-        lines = [
-            layout.address_of_line(i * set_span)
-            for i in range(layout.l1_associativity + 1)
-        ]
-        results = [bank.fill(line, dirty=(i == 0)) for i, line in enumerate(lines)]
-        assert all(result.evicted_line_address is None for result in results[:-1])
-        # True LRU: the first line filled is the one displaced, dirty.
-        assert results[-1].evicted_line_address == lines[0]
-        assert results[-1].evicted_dirty
-        assert results[-1].way == results[0].way
-        assert stats["l1.fill"] == len(lines)
-        assert stats["l1.eviction"] == 1 and stats["l1.writeback"] == 1
-
-    def test_excluded_way_rotation(self):
-        bank = CacheBank(bank_index=0, restrict_way_allocation=True)
-        assert bank.excluded_way_for(addr(0, 0)) == 0
-        assert bank.excluded_way_for(addr(0, 4)) == 1
-        assert bank.excluded_way_for(addr(0, 8)) == 2
-        assert bank.excluded_way_for(addr(0, 12)) == 3
-        assert bank.excluded_way_for(addr(0, 16)) == 0
-
-    def test_restricted_fill_avoids_excluded_way(self):
-        bank = CacheBank(bank_index=0, restrict_way_allocation=True)
-        set_span = layout.l1_banks * layout.l1_sets_per_bank
-        for i in range(16):
-            result = bank.fill(layout.address_of_line(i * set_span))
-            assert result.way != 0  # line-in-page 0 excludes way 0
-
     def test_store_write_marks_dirty_and_hits(self, stats):
-        bank = CacheBank(bank_index=0, stats=stats)
-        bank.fill(addr(1, 0))
-        result = bank.write(addr(1, 0))
-        assert result.hit
-        assert stats["l1.data_write"] >= 1
+        l1 = L1DataCache(stats=stats)
+        way = l1.load_parts(addr(1, 0))[1]
+        stats.clear()
+        assert l1.store_parts(addr(1, 0))[:2] == (True, way)
+        assert stats["l1.data_write"] == 1
+        set_index, _ = decompose(addr(1, 0))
+        assert l1.banks[0].array.is_dirty(set_index, way)
 
     def test_way_of_and_contains(self):
-        bank = CacheBank(bank_index=0)
+        l1 = L1DataCache()
+        bank = l1.banks[0]
         assert not bank.contains(addr(2, 0))
-        fill = bank.fill(addr(2, 0))
+        way = l1.load_parts(addr(2, 0))[1]
         assert bank.contains(addr(2, 0))
-        assert bank.way_of(addr(2, 0)) == fill.way
+        assert bank.way_of(addr(2, 0)) == way
+
+
+class TestL1Fills:
+    """The fill/evict side of ``L1DataCache._miss``, through the full L1."""
+
+    #: lines between two addresses of the same bank and set
+    SET_SPAN = layout.l1_banks * layout.l1_sets_per_bank
+
+    def test_fill_evicts_the_lru_line_and_writes_it_back(self, stats):
+        l1 = L1DataCache(stats=stats)
+        lines = [
+            layout.address_of_line(i * self.SET_SPAN)
+            for i in range(layout.l1_associativity + 1)
+        ]
+        l1.store_parts(lines[0])
+        first_way = l1.way_of(lines[0])
+        for line in lines[1:-1]:
+            l1.load_parts(line)
+        assert stats["l1.eviction"] == 0
+        # True LRU: the first line filled is the one displaced, dirty.
+        assert l1.load_parts(lines[-1])[1] == first_way
+        assert not l1.contains(lines[0])
+        assert stats["l1.fill"] == len(lines)
+        assert stats["l1.eviction"] == 1 and stats["l1.writeback"] == 1
+        assert stats["l2.writeback"] == 0 and stats["l2.hit"] == 1  # write-back hit
+
+    @pytest.mark.parametrize("line_in_page", [0, 4, 8, 12, 16, 60])
+    def test_restricted_fill_avoids_excluded_way(self, line_in_page):
+        """Sec. V: lines 0..3 of a page cannot use way 0, lines 4..7 way 1, …"""
+        l1 = L1DataCache(restrict_way_allocation=True)
+        excluded = (line_in_page // layout.l1_banks) % layout.l1_associativity
+        for page in range(16):
+            way = l1.load_parts(addr(page * 256, line_in_page))[1]
+            assert way != excluded
 
 
 class TestL1DataCache:
     def test_load_miss_then_hit(self, stats):
         l1 = L1DataCache(stats=stats)
-        first = l1.load(addr(3, 5))
-        assert not first.hit and first.latency > l1.hit_latency
-        second = l1.load(addr(3, 5))
-        assert second.hit and second.latency == l1.hit_latency
+        hit, _, latency = l1.load_parts(addr(3, 5))[:3]
+        assert not hit and latency > l1.hit_latency
+        hit, _, latency = l1.load_parts(addr(3, 5))[:3]
+        assert hit and latency == l1.hit_latency
         assert stats["l1.load_miss"] == 1 and stats["l1.load_hit"] == 1
 
     def test_store_allocates_line(self):
         l1 = L1DataCache()
-        outcome = l1.store(addr(4, 2))
-        assert not outcome.hit
+        assert not l1.store_parts(addr(4, 2))[0]
         assert l1.contains(addr(4, 2))
-        assert l1.store(addr(4, 2)).hit
+        assert l1.store_parts(addr(4, 2))[0]
 
     def test_bank_routing(self):
         l1 = L1DataCache()
-        outcome = l1.load(addr(1, 6))
-        assert outcome.bank == 6 % 4
+        assert l1.load_parts(addr(1, 6))[4] == 6 % 4
 
     def test_fills_and_evictions_reach_the_attached_wdu(self, stats):
         l1 = L1DataCache(stats=stats)
@@ -127,30 +137,30 @@ class TestL1DataCache:
             layout.address_of_line(i * set_span)
             for i in range(layout.l1_associativity + 1)
         ]
-        ways = [l1.load(line).way for line in lines]
+        ways = [l1.load_parts(line)[1] for line in lines]
         assert wdu.predict(lines[-1]).way == ways[-1]
         assert not wdu.predict(lines[0]).known  # evicted: validity cleared
         assert stats["wdu.invalidate"] == 1
 
     def test_miss_rates(self):
         l1 = L1DataCache()
-        l1.load(addr(6, 0))
-        l1.load(addr(6, 0))
+        l1.load_parts(addr(6, 0))
+        l1.load_parts(addr(6, 0))
         assert l1.load_miss_rate == 0.5
         assert 0 < l1.miss_rate <= 0.5
 
     def test_occupancy_grows_with_distinct_lines(self):
         l1 = L1DataCache()
         for line in range(10):
-            l1.load(addr(7, line))
+            l1.load_parts(addr(7, line))
         assert l1.occupancy() == 10
 
     def test_reduced_access_via_hint(self, stats):
         l1 = L1DataCache(stats=stats)
-        outcome = l1.load(addr(8, 1))
+        way = l1.load_parts(addr(8, 1))[1]
         stats.clear()
-        hit = l1.load(addr(8, 1), way_hint=outcome.way)
-        assert hit.hit and hit.reduced
+        hit, _, _, reduced = l1.load_parts(addr(8, 1), way_hint=way)[:4]
+        assert hit and reduced
         assert stats["l1.tag_read"] == 0
 
 
@@ -217,21 +227,20 @@ class TestL2AndDRAM:
 class TestMemoryHierarchy:
     def test_l1_miss_fills_both_levels(self):
         hierarchy = MemoryHierarchy()
-        outcome = hierarchy.l1.load(addr(10, 0))
-        assert not outcome.hit
+        hit, _, latency = hierarchy.l1.load_parts(addr(10, 0))[:3]
+        assert not hit
         # The miss latency includes L2 and DRAM.
-        assert outcome.latency == 2 + 12 + 54
+        assert latency == 2 + 12 + 54
         assert hierarchy.l1.contains(addr(10, 0))
         assert hierarchy.l2.contains(addr(10, 0))
 
     def test_shared_stats_object(self):
         hierarchy = MemoryHierarchy()
-        hierarchy.l1.load(addr(10, 0))
+        hierarchy.l1.load_parts(addr(10, 0))
         assert hierarchy.stats["l1.load"] == 1
         assert hierarchy.stats["l2.access"] == 1
         assert hierarchy.stats["dram.read"] == 1
 
     def test_latency_overrides(self):
         hierarchy = MemoryHierarchy(l1_hit_latency=1, l2_latency=5, dram_latency=10)
-        outcome = hierarchy.l1.load(addr(11, 0))
-        assert outcome.latency == 1 + 5 + 10
+        assert hierarchy.l1.load_parts(addr(11, 0))[2] == 1 + 5 + 10

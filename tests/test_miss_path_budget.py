@@ -42,10 +42,10 @@ PARENT_CALLS = {
 }
 #: (configuration, benchmark) -> calls into repro now (Python 3.11)
 CURRENT_CALLS = {
-    ("Base1ldst", "mcf"): 18_620,
-    ("Base1ldst", "tlbthrash"): 35_099,
-    ("MALEC", "mcf"): 27_393,
-    ("MALEC", "tlbthrash"): 62_951,
+    ("Base1ldst", "mcf"): 17_469,
+    ("Base1ldst", "tlbthrash"): 30_572,
+    ("MALEC", "mcf"): 25_972,
+    ("MALEC", "tlbthrash"): 56_464,
 }
 CONFIGS = {
     "Base1ldst": SimulationConfig.base_1ldst,

@@ -3,13 +3,13 @@
 The properties are the structural guarantees the paper's Sec. IV/V argument
 rests on:
 
-* a set-associative lookup immediately after an insert always hits, in the
-  way the insert reported;
-* true-LRU replacement never victimises the most-recently-used way;
+* a cache lookup immediately after an access always hits, in a way that
+  holds the accessed tag;
+* true-LRU replacement never victimises the most-recently-used line;
 * way-table predictions are *valid-or-unknown* — a known way always matches
   the tag array (this is what makes tag-bypassed "reduced" accesses safe);
-* a TLB lookup after an insert hits, and the reverse (physical) index stays
-  consistent with the forward one.
+* a translation leaves its page in the uTLB, and each TLB level's reverse
+  (physical) index stays consistent with the forward one.
 
 Each invariant is written as a plain checker driven by ``hypothesis`` when
 it is installed, and by a seeded ``random`` sweep otherwise, so the suite
@@ -22,8 +22,7 @@ import random
 
 import pytest
 
-from repro.cache.replacement import LRUReplacement
-from repro.cache.set_assoc import SetAssociativeArray
+from repro.cache.l2_cache import L2Cache
 from repro.memory.address import AddressLayout
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.core.way_table import WayTableHierarchy
@@ -50,33 +49,38 @@ def fallback_seeds():
 # ----------------------------------------------------------------------
 # Invariant checkers (shared by both drivers)
 # ----------------------------------------------------------------------
-def check_lookup_after_insert_hits(num_sets: int, ways: int, seed: int) -> None:
-    """Filling a tag and looking it up immediately must hit in that way."""
+def small_l2(num_sets: int, ways: int) -> L2Cache:
+    """An L2 of ``num_sets`` sets of ``ways`` 64-byte lines."""
+    return L2Cache(capacity_bytes=num_sets * ways * 64, associativity=ways)
+
+
+def check_lookup_after_access_hits(num_sets: int, ways: int, seed: int) -> None:
+    """Accessing a line and probing it immediately must hit, in a way that
+    holds the line's tag."""
     rng = random.Random(seed)
-    array = SetAssociativeArray(num_sets=num_sets, ways=ways)
+    l2 = small_l2(num_sets, ways)
+    array = l2.array
     for _ in range(4 * num_sets * ways):
-        set_index = rng.randrange(num_sets)
-        tag = rng.randrange(8 * ways)
-        way, _, _ = array.fill(set_index, tag)
-        assert array.probe(set_index, tag) == way, (set_index, tag)
+        line = rng.randrange(8 * ways * num_sets)
+        l2.access(line * 64, rng.random() < 0.3)
+        set_index, tag = line % num_sets, line // num_sets
+        way = array.probe(set_index, tag)
+        assert way is not None, (set_index, tag)
         assert array.tag_of(set_index, way) == tag
         assert tag in array.valid_tags(set_index)
 
 
 def check_lru_never_evicts_mru(ways: int, seed: int) -> None:
-    """With every way valid, the LRU victim is never the last-touched way."""
+    """The line accessed last survives the next access (true LRU)."""
     rng = random.Random(seed)
-    policy = LRUReplacement(ways)
-    all_valid = [True] * ways
-    last_touched = None
+    l2 = small_l2(1, ways)
+    last = None
     for _ in range(8 * ways):
-        way = rng.randrange(ways)
-        policy.touch(way)
-        last_touched = way
-        victim = policy.victim(all_valid)
-        assert victim != last_touched or ways == 1
-        # The victim stays stable until someone touches it.
-        assert policy.victim(all_valid) == victim
+        line = rng.randrange(2 * ways)
+        l2.access(line * 64)
+        if last is not None and ways > 1:
+            assert l2.contains(last * 64), (last, line)
+        last = line
 
 
 def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
@@ -100,21 +104,22 @@ def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
             rng.randrange(layout.lines_per_page),
             rng.randrange(0, layout.line_bytes, 4),
         )
-        result = translation.translate(virtual)
+        physical, _ = translation.translate_pair(virtual)
         line_in_page = layout.line_in_page(virtual)
-        prediction = way_tables.predict_line(result.virtual_page, line_in_page)
-        physical_line = layout.line_address(result.physical_address)
+        prediction = way_tables.predict_line(layout.page_id(virtual), line_in_page)
+        physical_line = layout.line_address(physical)
         if prediction.known:
             assert hierarchy.l1.way_of(physical_line) == prediction.way, (
                 hex(virtual),
                 prediction.way,
             )
         # Access (and possibly fill) the line, mutating cache + way tables.
-        hierarchy.l1.load(result.physical_address)
+        hierarchy.l1.load_parts(physical)
 
 
-def check_tlb_insert_lookup_consistency(entries: int, seed: int) -> None:
-    """Lookups after inserts hit, and the reverse index mirrors the forward."""
+def check_tlb_translate_lookup_consistency(entries: int, seed: int) -> None:
+    """A translated page is in the uTLB, and at both levels the reverse
+    index mirrors the forward one."""
     rng = random.Random(seed)
     stats = StatCounters()
     translation = TLBHierarchy(
@@ -123,20 +128,21 @@ def check_tlb_insert_lookup_consistency(entries: int, seed: int) -> None:
         stats=stats,
         seed=seed,
     )
-    tlb = translation.tlb
+    utlb = translation.utlb
     for _ in range(6 * entries):
         vpage = rng.randrange(1 << 12)
-        ppage = translation.page_table.translate_page(vpage)
-        slot = tlb.insert(vpage, ppage)
-        assert tlb.lookup(vpage, count_event=False) == slot
-        assert tlb.physical_page(slot) == ppage
-        assert tlb.reverse_lookup(ppage, count_event=False) == slot
-        assert tlb.occupancy <= entries
+        ppage, _ = translation.translate_page_pair(vpage)
+        slot = utlb.lookup(vpage, count_event=False)
+        assert slot is not None and utlb.physical_page(slot) == ppage
+        assert utlb.reverse_lookup(ppage, count_event=False) == slot
+        for tlb in (utlb, translation.tlb):
+            assert tlb.occupancy <= tlb.entries
     # Every resident virtual page must be reachable both ways.
-    for vpage in tlb.resident_virtual_pages():
-        slot = tlb.lookup(vpage, count_event=False)
-        assert slot is not None
-        assert tlb.reverse_lookup(tlb.physical_page(slot), count_event=False) == slot
+    for tlb in (utlb, translation.tlb):
+        for vpage in tlb.resident_virtual_pages():
+            slot = tlb.lookup(vpage, count_event=False)
+            assert slot is not None
+            assert tlb.reverse_lookup(tlb.physical_page(slot), count_event=False) == slot
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +163,8 @@ if HAVE_HYPOTHESIS:
             seed=st.integers(min_value=0, max_value=2**20),
         )
         @settings(**COMMON)
-        def test_lookup_after_insert_hits(self, num_sets, ways, seed):
-            check_lookup_after_insert_hits(num_sets, ways, seed)
+        def test_lookup_after_access_hits(self, num_sets, ways, seed):
+            check_lookup_after_access_hits(num_sets, ways, seed)
 
         @given(
             ways=st.integers(min_value=1, max_value=16),
@@ -178,16 +184,16 @@ if HAVE_HYPOTHESIS:
             seed=st.integers(min_value=0, max_value=2**20),
         )
         @settings(**COMMON)
-        def test_tlb_insert_lookup_consistency(self, entries, seed):
-            check_tlb_insert_lookup_consistency(entries, seed)
+        def test_tlb_translate_lookup_consistency(self, entries, seed):
+            check_tlb_translate_lookup_consistency(entries, seed)
 
 else:  # pragma: no cover - exercised only without hypothesis
 
     class TestPropertiesFallback:
         @fallback_seeds()
-        def test_lookup_after_insert_hits(self, seed):
+        def test_lookup_after_access_hits(self, seed):
             rng = random.Random(1000 + seed)
-            check_lookup_after_insert_hits(
+            check_lookup_after_access_hits(
                 num_sets=rng.randrange(1, 33), ways=rng.randrange(1, 9), seed=seed
             )
 
@@ -201,8 +207,8 @@ else:  # pragma: no cover - exercised only without hypothesis
             check_way_predictions_match_tag_array(accesses=120, seed=seed)
 
         @fallback_seeds()
-        def test_tlb_insert_lookup_consistency(self, seed):
+        def test_tlb_translate_lookup_consistency(self, seed):
             rng = random.Random(3000 + seed)
-            check_tlb_insert_lookup_consistency(
+            check_tlb_translate_lookup_consistency(
                 entries=rng.randrange(2, 65), seed=seed
             )

@@ -56,13 +56,22 @@ class TestPageTable:
             table.translate_page(1 << 20)
 
 
+def walk(hierarchy: TLBHierarchy, *pages: int) -> None:
+    """Translate each page in turn (refilling the uTLB/TLB as needed)."""
+    for page in pages:
+        hierarchy.translate_page_pair(page)
+
+
 class TestTLB:
-    def test_insert_and_lookup(self):
-        tlb = TLB(entries=4, name="t")
-        slot = tlb.insert(5, 100)
-        assert tlb.lookup(5) == slot
-        assert tlb.translation(5) == 100
-        assert tlb.occupancy == 1
+    def test_refill_installs_and_lookup_finds(self):
+        hierarchy = TLBHierarchy()
+        ppage, latency = hierarchy.translate_page_pair(5)
+        assert latency == hierarchy.walk_latency
+        for tlb in (hierarchy.utlb, hierarchy.tlb):
+            slot = tlb.lookup(5)
+            assert slot is not None and tlb.virtual_page(slot) == 5
+            assert tlb.translation(5) == ppage == tlb.physical_page(slot)
+            assert tlb.occupancy == 1
 
     def test_miss_counts(self):
         stats = StatCounters()
@@ -71,43 +80,37 @@ class TestTLB:
         assert stats["t.lookup"] == 1 and stats["t.miss"] == 1
 
     def test_reverse_lookup(self):
-        tlb = TLB(entries=4, name="t")
-        slot = tlb.insert(5, 100)
-        assert tlb.reverse_lookup(100) == slot
-        assert tlb.reverse_lookup(999) is None
+        hierarchy = TLBHierarchy()
+        ppage, _ = hierarchy.translate_page_pair(5)
+        utlb = hierarchy.utlb
+        assert utlb.reverse_lookup(ppage) == utlb.lookup(5, count_event=False)
+        assert utlb.reverse_lookup(ppage + 1) is None
 
     def test_full_tlb_replaces_a_valid_entry(self, stats):
-        tlb = TLB(entries=2, name="t", replacement="lru", stats=stats)
-        first = tlb.insert(1, 10)
-        tlb.insert(2, 20)
-        slot = tlb.insert(3, 30)
-        # Three inserts into two slots: the third replaces the LRU entry.
-        assert slot == first == tlb.lookup(3, count_event=False)
-        assert tlb.virtual_page(slot) == 3 and tlb.physical_page(slot) == 30
-        assert tlb.translation(1) is None and tlb.reverse_lookup(10) is None
-        assert stats["t.eviction"] == 1 and stats["t.fill"] == 3
+        hierarchy = TLBHierarchy(utlb_entries=2, tlb_entries=2, stats=stats)
+        walk(hierarchy, 1, 2, 3)
+        tlb = hierarchy.tlb
+        # Three walks into two slots: the third replaced one of the first two.
+        slot = tlb.lookup(3, count_event=False)
+        assert tlb.virtual_page(slot) == 3
+        assert tlb.resident_virtual_pages() in ([1, 3], [2, 3])
+        assert stats["tlb.eviction"] == 1 and stats["tlb.fill"] == 3
         assert tlb.occupancy == 2
 
-    def test_reinsert_same_page_updates_mapping(self):
-        tlb = TLB(entries=4, name="t")
-        slot = tlb.insert(5, 100)
-        assert tlb.insert(5, 200) == slot
-        assert tlb.translation(5) == 200
-        assert tlb.reverse_lookup(200) == slot
-        assert tlb.reverse_lookup(100) is None
-
-    def test_invalidate_all(self):
-        tlb = TLB(entries=4, name="t")
-        tlb.insert(5, 100)
-        tlb.invalidate_all()
-        assert tlb.occupancy == 0
-        assert tlb.lookup(5, count_event=False) is None
-
     def test_resident_pages_listing(self):
-        tlb = TLB(entries=4, name="t")
-        tlb.insert(5, 100)
-        tlb.insert(3, 101)
-        assert tlb.resident_virtual_pages() == [3, 5]
+        hierarchy = TLBHierarchy()
+        walk(hierarchy, 5, 3)
+        assert hierarchy.tlb.resident_virtual_pages() == [3, 5]
+        assert hierarchy.utlb.resident_virtual_pages() == [3, 5]
+
+    def test_lookup_and_install_set_the_reference_bit(self):
+        hierarchy = TLBHierarchy(utlb_entries=4)
+        utlb = hierarchy.utlb
+        walk(hierarchy, 5)
+        slot = utlb.lookup(5, count_event=False)
+        assert utlb._referenced[slot]
+        utlb._referenced[slot] = 0
+        assert utlb.lookup(5) == slot and utlb._referenced[slot]
 
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
@@ -118,54 +121,185 @@ class TestTLBHierarchy:
     def test_first_access_walks_then_hits(self, stats):
         hierarchy = TLBHierarchy(stats=stats)
         vaddr = layout.compose(77, 10)
-        first = hierarchy.translate(vaddr)
-        assert not first.utlb_hit and not first.tlb_hit
-        assert first.latency == hierarchy.walk_latency
-        second = hierarchy.translate(vaddr)
-        assert second.utlb_hit and second.latency == 0
-        assert second.physical_page == first.physical_page
+        first, first_latency = hierarchy.translate_pair(vaddr)
+        assert first_latency == hierarchy.walk_latency
+        assert hierarchy.translate_pair(vaddr) == (first, 0)
 
     def test_tlb_hit_refills_utlb(self, stats):
         hierarchy = TLBHierarchy(utlb_entries=2, tlb_entries=64, stats=stats)
-        pages = list(range(10))
-        for page in pages:
-            hierarchy.translate(layout.compose(page, 0))
+        walk(hierarchy, *range(10))
         # Page 0 has long since left the 2-entry uTLB but stays in the TLB.
-        result = hierarchy.translate(layout.compose(0, 0))
-        assert not result.utlb_hit and result.tlb_hit
-        assert result.latency == 1
+        assert hierarchy.translate_page_pair(0)[1] == 1
+        assert hierarchy.utlb.lookup(0, count_event=False) is not None
 
     def test_offset_preserved(self):
         hierarchy = TLBHierarchy()
-        result = hierarchy.translate(layout.compose(55, 321))
-        assert layout.page_offset(result.physical_address) == 321
+        physical, _ = hierarchy.translate_pair(layout.compose(55, 321))
+        assert layout.page_offset(physical) == 321
+
+    def test_address_and_page_translation_agree(self):
+        hierarchy = TLBHierarchy()
+        physical, _ = hierarchy.translate_pair(layout.compose(12, 40))
+        assert hierarchy.translate_page_pair(12) == (layout.page_id(physical), 0)
 
     def test_translation_is_stable(self):
         hierarchy = TLBHierarchy()
-        a = hierarchy.translate(layout.compose(5, 0)).physical_page
-        for page in range(200):
-            hierarchy.translate(layout.compose(page, 0))
-        assert hierarchy.translate(layout.compose(5, 0)).physical_page == a
-
-    def test_utlb_uses_second_chance_and_tlb_random(self):
-        hierarchy = TLBHierarchy()
-        from repro.cache.replacement import RandomReplacement, SecondChanceReplacement
-
-        assert isinstance(hierarchy.utlb._policy, SecondChanceReplacement)
-        assert isinstance(hierarchy.tlb._policy, RandomReplacement)
+        first = hierarchy.translate_page_pair(5)[0]
+        walk(hierarchy, *range(200))
+        assert hierarchy.translate_page_pair(5)[0] == first
 
     def test_lookup_event_counting(self, stats):
         hierarchy = TLBHierarchy(stats=stats)
-        hierarchy.translate(layout.compose(3, 0))
-        hierarchy.translate(layout.compose(3, 0))
+        hierarchy.translate_pair(layout.compose(3, 0))
+        hierarchy.translate_pair(layout.compose(3, 0))
         assert stats["utlb.lookup"] == 2
         assert stats["utlb.hit"] == 1
         assert stats["tlb.walk"] == 1
 
-    def test_translate_page_helper(self):
-        hierarchy = TLBHierarchy()
-        result = hierarchy.translate_page(12)
-        assert result.virtual_page == 12
+
+class TestSecondChanceUTLB:
+    """Second-chance replacement of the uTLB (Sec. V), through ``refill``."""
+
+    @staticmethod
+    def utlb_pages(hierarchy):
+        utlb = hierarchy.utlb
+        return [utlb.virtual_page(slot) for slot in range(utlb.entries)]
+
+    def test_invalid_slots_fill_first_in_index_order(self):
+        hierarchy = TLBHierarchy(utlb_entries=4)
+        walk(hierarchy, 10, 11, 12)
+        assert self.utlb_pages(hierarchy) == [10, 11, 12, None]
+        assert hierarchy._utlb_hand == 0  # no sweep while a slot is free
+
+    def test_sweep_clears_the_bits_it_passes(self):
+        hierarchy = TLBHierarchy(utlb_entries=4)
+        walk(hierarchy, 10, 11, 12, 13)  # every install set its bit
+        walk(hierarchy, 14)
+        # One full turn cleared all four bits; slot 0 was taken on the way
+        # round and the newcomer's install set its bit again.
+        assert self.utlb_pages(hierarchy) == [14, 11, 12, 13]
+        assert list(hierarchy.utlb._referenced) == [1, 0, 0, 0]
+        assert hierarchy._utlb_hand == 1
+
+    def test_referenced_slot_gets_a_second_chance(self):
+        hierarchy = TLBHierarchy(utlb_entries=4)
+        walk(hierarchy, 10, 11, 12, 13, 14)  # hand now at slot 1
+        walk(hierarchy, 11)  # uTLB hit: slot 1 referenced again
+        walk(hierarchy, 15)
+        assert self.utlb_pages(hierarchy) == [14, 11, 15, 13]
+        assert hierarchy._utlb_hand == 3
+
+    def test_misses_without_reuse_go_round_the_clock(self):
+        hierarchy = TLBHierarchy(utlb_entries=4)
+        walk(hierarchy, 10, 11, 12, 13)
+        victims = []
+        for page in range(20, 26):
+            walk(hierarchy, page)
+            victims.append(hierarchy.utlb.lookup(page, count_event=False))
+        assert victims == [0, 1, 2, 3, 0, 1]
+
+    @pytest.mark.parametrize("entries", [2, 4, 16])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_randomized_trace_matches_clock_model(self, seed, entries):
+        """A textbook clock (second-chance) uTLB, kept as plain lists, holds
+        the same page in every slot with the same reference bits and hand
+        after every translation of a random trace with reuse."""
+        hierarchy = TLBHierarchy(utlb_entries=entries, tlb_entries=64, seed=seed)
+        pages = [None] * entries
+        referenced = [0] * entries
+        hand = 0
+        rng = random.Random(seed)
+        for _ in range(400):
+            page = rng.randrange(3 * entries)
+            latency = hierarchy.translate_page_pair(page)[1]
+            if page in pages:
+                assert latency == 0
+                referenced[pages.index(page)] = 1
+            else:
+                assert latency > 0
+                if None in pages:
+                    slot = pages.index(None)
+                else:
+                    while referenced[hand]:
+                        referenced[hand] = 0
+                        hand = (hand + 1) % entries
+                    slot = hand
+                    hand = (hand + 1) % entries
+                pages[slot] = page
+                referenced[slot] = 1
+            assert self.utlb_pages(hierarchy) == pages
+            assert list(hierarchy.utlb._referenced) == referenced
+            assert hierarchy._utlb_hand == hand
+
+
+class TestRandomTLB:
+    """Random replacement of the TLB (Sec. V), through ``refill``."""
+
+    @staticmethod
+    def tlb_slots(seed: int, pages, tlb_entries: int = 4):
+        hierarchy = TLBHierarchy(utlb_entries=2, tlb_entries=tlb_entries, seed=seed)
+        slots = []
+        for page in pages:
+            walk(hierarchy, page)
+            slots.append(hierarchy.tlb.lookup(page, count_event=False))
+        return slots
+
+    def test_invalid_slots_fill_first(self, stats):
+        hierarchy = TLBHierarchy(utlb_entries=2, tlb_entries=8, stats=stats)
+        walk(hierarchy, *range(8))
+        assert sorted(
+            hierarchy.tlb.lookup(page, count_event=False) for page in range(8)
+        ) == list(range(8))
+        assert stats["tlb.eviction"] == 0
+
+    def test_deterministic_with_seed(self):
+        pages = range(40)
+        assert self.tlb_slots(7, pages) == self.tlb_slots(7, pages)
+        assert self.tlb_slots(7, pages) != self.tlb_slots(8, pages)
+
+    def test_covers_all_slots_eventually(self):
+        assert set(self.tlb_slots(3, range(4, 200))) == {0, 1, 2, 3}
+
+    def test_free_slots_are_drawn_in_index_order(self):
+        """While slots are free, each walk draws ``choice`` over the invalid
+        slots in index order from ``random.Random(seed + 1)``."""
+        hierarchy = TLBHierarchy(utlb_entries=2, tlb_entries=4, seed=5)
+        rng = random.Random(6)
+        free = [0, 1, 2, 3]
+        for page in range(4):
+            walk(hierarchy, page)
+            expected = rng.choice(free)
+            assert hierarchy.tlb.lookup(page, count_event=False) == expected
+            free.remove(expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_randomized_trace_matches_non_inclusive_model(self, seed):
+        """The TLB is consulted only on uTLB misses and is not inclusive of
+        the uTLB: a model that tracks which pages the uTLB holds, and draws
+        the TLB's victims from ``random.Random(seed + 1)``, predicts every
+        latency class and the TLB's slot contents along a random trace."""
+        hierarchy = TLBHierarchy(
+            utlb_entries=4, tlb_entries=8, walk_latency=30, seed=seed
+        )
+        tlb_pages = [None] * 8
+        tlb_rng = random.Random(seed + 1)
+        rng = random.Random(100 + seed)
+        for _ in range(400):
+            page = rng.randrange(24)
+            in_utlb = hierarchy.utlb.lookup(page, count_event=False) is not None
+            latency = hierarchy.translate_page_pair(page)[1]
+            if in_utlb:
+                expected = 0
+            elif page in tlb_pages:
+                expected = 1
+            else:
+                expected = 30
+                free = [slot for slot, held in enumerate(tlb_pages) if held is None]
+                tlb_pages[tlb_rng.choice(free or range(8))] = page
+            assert latency == expected
+            assert [
+                hierarchy.tlb.virtual_page(slot) for slot in range(8)
+            ] == tlb_pages
 
 
 #: Slot choices of a 4-entry uTLB / 8-entry TLB hierarchy with way tables,
@@ -203,13 +337,12 @@ class TestRefillRecording:
         rng = random.Random(seed)
         utlb_slots, tlb_slots, kinds = [], [], []
         for _ in range(60):
-            result = hierarchy.translate_page(rng.randrange(20))
+            frame, latency = hierarchy.translate_page_pair(rng.randrange(20))
             # Reverse lookups: side-effect free, unlike a touching lookup().
-            frame = result.physical_page
             utlb_slots.append(str(hierarchy.utlb.reverse_lookup(frame, count_event=False)))
             tlb_slot = hierarchy.tlb.reverse_lookup(frame, count_event=False)
             tlb_slots.append("-" if tlb_slot is None else str(tlb_slot))
-            kinds.append({0: "u", 1: "t", hierarchy.walk_latency: "w"}[result.latency])
+            kinds.append({0: "u", 1: "t", hierarchy.walk_latency: "w"}[latency])
         assert ("".join(utlb_slots), "".join(tlb_slots), "".join(kinds)) == (
             REFILL_RECORDING[seed]
         )
@@ -220,7 +353,7 @@ class TestRefillRecording:
         WayTableHierarchy(hierarchy, stats=stats)
         rng = random.Random(0)
         for _ in range(60):
-            hierarchy.translate_page(rng.randrange(20))
+            hierarchy.translate_page_pair(rng.randrange(20))
         assert {
             name: value
             for name, value in stats.items()

@@ -107,60 +107,59 @@ class TestWayTableHierarchy:
 
     def test_fill_updates_way_information(self):
         stats, translation, l1, tables = self._system()
-        result = translation.translate(addr(5, 0))
-        paddr = result.physical_address
-        outcome = l1.load(paddr)  # miss + fill -> tables learn the way
+        paddr, _ = translation.translate_pair(addr(5, 0))
+        way = l1.load_parts(paddr)[1]  # miss + fill -> tables learn the way
         prediction = tables.predict_line(5, layout.line_in_page(paddr))
         assert prediction.known
-        assert prediction.way == outcome.way
+        assert prediction.way == way
 
     def test_eviction_clears_validity(self):
         stats, translation, l1, tables = self._system()
-        translation.translate(addr(5, 0))
-        paddr = translation.translate(addr(5, 0)).physical_address
-        way = l1.load(paddr).way
+        translation.translate_pair(addr(5, 0))
+        paddr, _ = translation.translate_pair(addr(5, 0))
+        way = l1.load_parts(paddr)[1]
         tables.on_line_evict(layout.line_address(paddr), way)
         assert not tables.predict_line(5, layout.line_in_page(paddr)).known
 
     def test_prediction_allows_reduced_access(self):
         stats, translation, l1, tables = self._system()
-        paddr = translation.translate(addr(6, 3)).physical_address
-        l1.load(paddr)
+        paddr, _ = translation.translate_pair(addr(6, 3))
+        l1.load_parts(paddr)
         prediction = tables.predict_line(6, layout.line_in_page(paddr))
-        outcome = l1.load(paddr, way_hint=prediction.way)
-        assert outcome.hit and outcome.reduced and not outcome.way_hint_wrong
+        hit, _, _, reduced, _, hint_wrong = l1.load_parts(paddr, way_hint=prediction.way)
+        assert hit and reduced and not hint_wrong
 
     def test_feedback_update_after_unknown_conventional_hit(self):
         stats, translation, l1, tables = self._system(feedback=True)
-        paddr = translation.translate(addr(7, 2)).physical_address
-        outcome = l1.load(paddr)  # fill
+        paddr, _ = translation.translate_pair(addr(7, 2))
+        way = l1.load_parts(paddr)[1]  # fill
         line = layout.line_in_page(paddr)
         # Forget the way (simulates a page whose WT entry was lost).
         slot = translation.utlb.reverse_lookup(layout.page_id(paddr), count_event=False)
         tables.uwt.clear_entry(slot)
         assert not tables.predict_line(7, line).known
-        tables.feedback_conventional_hit(paddr, outcome.way)
+        tables.feedback_conventional_hit(paddr, way)
         assert tables.predict_line(7, line).known
 
     def test_feedback_disabled_is_a_noop(self):
         stats, translation, l1, tables = self._system(feedback=False)
-        paddr = translation.translate(addr(7, 2)).physical_address
-        outcome = l1.load(paddr)
+        paddr, _ = translation.translate_pair(addr(7, 2))
+        way = l1.load_parts(paddr)[1]
         slot = translation.utlb.reverse_lookup(layout.page_id(paddr), count_event=False)
         tables.uwt.clear_entry(slot)
         tables.predict_line(7, layout.line_in_page(paddr))
-        tables.feedback_conventional_hit(paddr, outcome.way)
+        tables.feedback_conventional_hit(paddr, way)
         assert not tables.predict_line(7, layout.line_in_page(paddr)).known
 
     def test_utlb_eviction_writes_entry_back_to_wt(self):
         stats, translation, l1, tables = self._system()
         # Touch page 0 and learn a way.
-        paddr = translation.translate(addr(0, 1)).physical_address
-        l1.load(paddr)
+        paddr, _ = translation.translate_pair(addr(0, 1))
+        l1.load_parts(paddr)
         line = layout.line_in_page(paddr)
         # Touch enough other pages to push page 0 out of the 16-entry uTLB.
         for page in range(1, 40):
-            translation.translate(addr(page, 0))
+            translation.translate_pair(addr(page, 0))
         # The information must survive in the WT and refill the uWT on re-touch.
         prediction = tables.predict_line(0, line)
         assert prediction.known
@@ -171,18 +170,18 @@ class TestWayTableHierarchy:
         l1 = L1DataCache(stats=stats, restrict_way_allocation=True)
         tables = WayTableHierarchy(translation, stats=stats)
         tables.attach_to_cache(l1)
-        paddr = translation.translate(addr(0, 1)).physical_address
-        l1.load(paddr)
+        paddr, _ = translation.translate_pair(addr(0, 1))
+        l1.load_parts(paddr)
         for page in range(1, 30):
-            translation.translate(addr(page, 0))
+            translation.translate_pair(addr(page, 0))
         # Page 0 left the 4-entry TLB entirely: a fresh entry starts invalid.
         assert not tables.predict_line(0, layout.line_in_page(paddr)).known
         assert stats["wt.page_invalidated"] >= 1
 
     def test_coverage_property(self):
         stats, translation, l1, tables = self._system()
-        paddr = translation.translate(addr(9, 0)).physical_address
-        l1.load(paddr)
+        paddr, _ = translation.translate_pair(addr(9, 0))
+        l1.load_parts(paddr)
         tables.predict_line(9, 0)
         assert 0.0 <= tables.coverage <= 1.0
 
@@ -221,9 +220,9 @@ class TestWayDeterminationUnit:
         l1 = L1DataCache(stats=stats)
         wdu = WayDeterminationUnit(entries=16, stats=stats)
         wdu.attach_to_cache(l1)
-        outcome = l1.load(addr(4, 0))
+        way = l1.load_parts(addr(4, 0))[1]
         prediction = wdu.predict(addr(4, 0))
-        assert prediction.known and prediction.way == outcome.way
+        assert prediction.known and prediction.way == way
 
     def test_rejects_bad_way(self):
         wdu = WayDeterminationUnit(entries=4)
