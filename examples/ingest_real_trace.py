@@ -23,6 +23,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+from repro.api import RunOptions
 from repro.campaign import CampaignSpec, ParallelExecutor
 from repro.sim.config import SimulationConfig
 from repro.workloads import (
@@ -77,7 +78,7 @@ def main() -> None:
             benchmarks=("gzip", handle.name),
             instructions=2_000,
         )
-        results = ParallelExecutor(jobs=1).run(spec)
+        results = ParallelExecutor(options=RunOptions(jobs=1)).run(spec)
         for run in results.runs:
             normalized = run.normalized_cycles("Base1ldst")
             print(f"  {run.benchmark:<16s} MALEC time x{normalized['MALEC']:.3f}")

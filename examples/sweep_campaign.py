@@ -22,6 +22,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+from repro.api import RunOptions
 from repro.campaign import (
     ParallelExecutor,
     ResultStore,
@@ -45,12 +46,13 @@ def main() -> None:
 
     print(f"campaign directory: {campaign_dir}")
     print(f"\nfirst pass ({JOBS} worker processes):")
-    executor = ParallelExecutor(jobs=JOBS, store=store, progress=progress)
+    options = RunOptions(jobs=JOBS, store=store)
+    executor = ParallelExecutor(options=options, progress=progress)
     executor.run(spec)
     print(f"  -> {len(executor.completed_cells)} cells simulated, {len(store)} records on disk")
 
     print("\nsecond pass (same directory — everything resumes from the store):")
-    executor = ParallelExecutor(jobs=JOBS, store=store, progress=progress)
+    executor = ParallelExecutor(options=options, progress=progress)
     executor.run(spec)
     print(f"  -> {len(executor.completed_cells)} cells simulated, "
           f"{len(executor.skipped_cells)} resumed")

@@ -18,9 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.reporting import geometric_mean
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import SimulationResult
-from repro.workloads.registry import registered_handle, registered_trace
-from repro.workloads.suites import ALL_BENCHMARKS, ALL_SUITES, benchmark_profile
-from repro.workloads.synthetic import generate_trace
+from repro.workloads.suites import ALL_BENCHMARKS, ALL_SUITES
 from repro.workloads.trace import MemoryTrace
 
 
@@ -142,29 +140,6 @@ class ExperimentRunner:
         self._trace_cache: Dict[Tuple[str, int, int, str], MemoryTrace] = {}
 
     # ------------------------------------------------------------------
-    def trace_for(self, benchmark: str) -> MemoryTrace:
-        """The (cached) trace of ``benchmark`` — synthetic or ingested.
-
-        Registered ingested traces are truncated to the runner's instruction
-        budget when longer, matching what the campaign executor simulates.
-        """
-        ingested = registered_trace(benchmark)
-        if ingested is not None:
-            fingerprint = registered_handle(benchmark).fingerprint
-            key = (benchmark, self.instructions, 0, fingerprint)
-            if key not in self._trace_cache:
-                self._trace_cache[key] = (
-                    ingested
-                    if len(ingested) <= self.instructions
-                    else ingested.head(self.instructions)
-                )
-            return self._trace_cache[key]
-        profile = benchmark_profile(benchmark)
-        key = (benchmark, self.instructions, profile.seed, "")
-        if key not in self._trace_cache:
-            self._trace_cache[key] = generate_trace(profile, self.instructions)
-        return self._trace_cache[key]
-
     def run(
         self,
         configurations: Sequence[SimulationConfig],
@@ -183,6 +158,7 @@ class ExperimentRunner:
         :class:`~repro.campaign.executor.ParallelExecutor`).
         """
         # Imported here: repro.campaign builds on this module's result types.
+        from repro.api import RunOptions
         from repro.campaign.executor import ParallelExecutor
         from repro.campaign.spec import CampaignSpec
 
@@ -194,6 +170,8 @@ class ExperimentRunner:
             warmup_fraction=self.warmup_fraction,
         )
         executor = ParallelExecutor(
-            jobs=jobs, store=store, progress=progress, trace_cache=self._trace_cache
+            options=RunOptions(jobs=jobs, store=store),
+            progress=progress,
+            trace_cache=self._trace_cache,
         )
         return executor.run(spec)

@@ -19,7 +19,7 @@ persistence), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["RunOptions"]
@@ -63,7 +63,3 @@ class RunOptions:
         from repro.campaign.store import open_store
 
         return open_store(self.store)
-
-    def with_overrides(self, **fields: Any) -> "RunOptions":
-        """A copy with the given fields replaced."""
-        return replace(self, **fields)

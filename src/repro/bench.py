@@ -212,7 +212,7 @@ def bench_fig4_mini_sweep(instructions: int, repeats: int) -> ScenarioResult:
     spec = campaign_preset("fig4-mini").with_overrides(instructions=instructions)
 
     def workload() -> Dict[str, object]:
-        executor = ParallelExecutor()
+        executor = ParallelExecutor(options=RunOptions())
         results = executor.run(spec)
         return {
             "preset": "fig4-mini",
@@ -236,7 +236,7 @@ def bench_fig4_mini_sweep_serial(instructions: int, repeats: int) -> ScenarioRes
     spec = campaign_preset("fig4-mini").with_overrides(instructions=instructions)
 
     def workload() -> Dict[str, object]:
-        executor = ParallelExecutor(jobs=1)
+        executor = ParallelExecutor(options=RunOptions(jobs=1))
         results = executor.run(spec)
         return {
             "preset": "fig4-mini",
@@ -269,7 +269,7 @@ def bench_fig4_misses_sweep_serial(instructions: int, repeats: int) -> ScenarioR
     )
 
     def workload() -> Dict[str, object]:
-        executor = ParallelExecutor(jobs=1)
+        executor = ParallelExecutor(options=RunOptions(jobs=1))
         results = executor.run(spec)
         return {
             "benchmarks": len(results.runs),

@@ -114,13 +114,6 @@ class MergeBuffer:
         self.stats.bump(self._h_allocate)
         return evicted
 
-    def pop_oldest(self) -> Optional[MergeBufferEntry]:
-        """Explicitly evict the oldest entry (used when draining the buffer)."""
-        if not self._entries:
-            return None
-        self.stats.bump(self._h_eviction)
-        return self._entries.pop(0)
-
     def drain(self) -> List[MergeBufferEntry]:
         """Remove and return every entry (end-of-simulation flush)."""
         drained = self._entries
@@ -130,30 +123,9 @@ class MergeBuffer:
         return drained
 
     # ------------------------------------------------------------------
-    # Load lookups
+    # Load lookups (the per-load search itself is inlined in
+    # BaseL1Interface._forwarding_lookups)
     # ------------------------------------------------------------------
-    def lookup(self, virtual_address: int, split: bool = False) -> Optional[MergeBufferEntry]:
-        """Search the buffer for the line containing ``virtual_address``.
-
-        ``split`` selects MALEC's shared-page + narrow-offset lookup (the
-        shared part is charged via :meth:`charge_shared_page_lookup`).
-        """
-        if split:
-            self.stats.bump(self._h_lookup_offset)
-        else:
-            self.stats.bump(self._h_lookup_full)
-        entry = self._find(self.layout.line_address(virtual_address))
-        if entry is not None:
-            self.stats.bump(self._h_forward_hit)
-        return entry
-
     def charge_shared_page_lookup(self) -> None:
         """Charge the per-cycle shared page-id comparison of the split structure."""
         self.stats.bump(self._h_lookup_page_shared)
-
-    @property
-    def merge_rate(self) -> float:
-        """Fraction of committed stores that merged into an existing entry."""
-        merged = self.stats.get("mb.merged_store")
-        total = merged + self.stats.get("mb.allocate")
-        return merged / total if total else 0.0

@@ -40,16 +40,6 @@ class StoreBufferEntry:
         self.committed = committed
 
 
-class ForwardingResult:
-    """Result of a load's search of the store buffer."""
-
-    __slots__ = ("hit", "entry")
-
-    def __init__(self, hit: bool, entry: Optional[StoreBufferEntry] = None) -> None:
-        self.hit = hit
-        self.entry = entry
-
-
 class StoreBuffer:
     """Fixed-capacity buffer of speculative stores in program order."""
 
@@ -99,28 +89,9 @@ class StoreBuffer:
         return entry
 
     # ------------------------------------------------------------------
-    # Load forwarding lookups
+    # Load forwarding lookups (the per-load search itself is inlined in
+    # BaseL1Interface._forwarding_lookups)
     # ------------------------------------------------------------------
-    def lookup(self, address: int, size: int = 4, split: bool = False) -> ForwardingResult:
-        """Search for the youngest older store overlapping ``address``.
-
-        ``split`` selects MALEC's split lookup structure: the page-id segment
-        is shared by the page group (charged once per cycle via
-        :meth:`charge_shared_page_lookup`), so only the narrow offset segment
-        is charged here.  A full-width lookup is charged otherwise.
-        """
-        if split:
-            self.stats.bump(self._h_lookup_offset)
-        else:
-            self.stats.bump(self._h_lookup_full)
-        end = address + size
-        for entry in reversed(self._entries):
-            start = entry.virtual_address
-            if start < end and address < start + entry.size:
-                self.stats.bump(self._h_forward_hit)
-                return ForwardingResult(hit=True, entry=entry)
-        return ForwardingResult(hit=False)
-
     def charge_shared_page_lookup(self) -> None:
         """Charge the per-cycle shared page-id comparison of the split structure."""
         self.stats.bump(self._h_lookup_page_shared)
@@ -155,13 +126,3 @@ class StoreBuffer:
                     del self._by_tag[entry.tag]
                 return entry
         return None
-
-    def flush_speculative(self) -> int:
-        """Drop all uncommitted stores (pipeline squash); returns the count."""
-        before = len(self._entries)
-        self._entries = [entry for entry in self._entries if entry.committed]
-        self._by_tag = {entry.tag: entry for entry in self._entries}
-        dropped = before - len(self._entries)
-        if dropped:
-            self.stats.add("sb.squashed", dropped)
-        return dropped

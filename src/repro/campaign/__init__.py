@@ -16,11 +16,12 @@ one process and one session:
 
 Quick start::
 
-    from repro.campaign import CampaignSpec, ParallelExecutor, ResultStore
+    from repro.api import RunOptions
+    from repro.campaign import ParallelExecutor, ResultStore
     from repro.campaign import campaign_preset, results_from_store
 
     store = ResultStore("results/fig4")
-    executor = ParallelExecutor(jobs=4, store=store)
+    executor = ParallelExecutor(options=RunOptions(jobs=4, store=store))
     executor.run(campaign_preset("fig4"))       # resumable: re-runs skip cells
     print(results_from_store(store).geomean_normalized_cycles("Base1ldst"))
 """

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.analysis.experiments import BenchmarkRun, ExperimentResults
 from repro.api import RunOptions
 from repro.campaign.spec import CampaignCell, CampaignSpec
-from repro.campaign.store import ResultStore, result_from_dict, result_to_dict
+from repro.campaign.store import result_from_dict, result_to_dict
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
 from repro.obs.telemetry import TelemetryJournal
@@ -275,22 +275,15 @@ class ParallelExecutor:
 
     Parameters
     ----------
-    jobs:
-        Worker process count; ``None`` (default) uses one worker per CPU
-        core, ``1`` forces the serial in-process path.  Deprecated fallback
-        for ``options=``.
-    store:
-        Optional store: a live :class:`ResultStore`, a store URL
-        (``json:dir`` / ``sqlite:db``) or a bare directory path.  When
-        given, completed cells are persisted as they finish and
-        already-stored cells are skipped.  Deprecated fallback for
-        ``options=``.
     options:
-        A :class:`repro.api.RunOptions` — the preferred way to configure
-        execution (kernel, jobs, store URL).  The kernel selection is
-        resolved exactly once here and threaded through the serial path and
-        the pool initializer.  Mixing ``options=`` with the legacy
-        ``jobs=``/``store=`` keywords raises ``ValueError``.
+        A :class:`repro.api.RunOptions` configuring execution (``None``
+        means ``RunOptions()``).  ``kernel`` is resolved exactly once here
+        and threaded through the serial path and the pool initializer;
+        ``jobs`` is the worker process count (``None`` uses one worker per
+        CPU core, ``1`` forces the serial in-process path); ``store`` (a
+        live :class:`~repro.campaign.store.ResultStore`, a store URL
+        ``json:dir`` / ``sqlite:db`` or a bare directory path) persists
+        completed cells as they finish and skips already-stored ones.
     progress:
         Optional ``progress(event, cell, done, total)`` callback.
     trace_cache:
@@ -313,21 +306,14 @@ class ParallelExecutor:
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
-        store: Optional[Union[str, ResultStore]] = None,
+        options: Optional[RunOptions] = None,
         progress: Optional[ProgressCallback] = None,
         trace_cache: Optional[TraceCache] = None,
         trace_log=None,
         journal=None,
-        options: Optional[RunOptions] = None,
     ) -> None:
-        if options is not None:
-            if jobs is not None or store is not None:
-                raise ValueError(
-                    "pass options= or the legacy jobs=/store= keywords, not both"
-                )
-        else:
-            options = RunOptions(jobs=jobs, store=store)
+        if options is None:
+            options = RunOptions()
         if options.collector is not None:
             raise ValueError(
                 "campaign execution does not support collectors; attach one "

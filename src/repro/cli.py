@@ -944,8 +944,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     progress = _cell_progress(args.quiet)
 
     executor = ParallelExecutor(
-        jobs=args.jobs,
-        store=store,
+        options=RunOptions(jobs=args.jobs, store=store),
         progress=progress,
         trace_log=trace_log,
         journal=args.journal,

@@ -15,7 +15,8 @@ Priorities, from high to low (Sec. IV):
 Unmatched loads — and loads rejected by the Arbitration Unit because of bank
 conflicts or result-bus limits — are held for the next cycle.  If the held
 storage would overflow, address computation stalls (modelled through
-:meth:`InputBuffer.can_accept_load`).
+:meth:`repro.interfaces.malec.MalecInterface.can_accept_load`, which reads
+``held_capacity`` and ``new_loads_per_cycle`` here).
 """
 
 from __future__ import annotations
@@ -48,14 +49,6 @@ class PageGroup:
     members: List[MemoryAccessRequest] = field(default_factory=list)
     mbe: Optional[MemoryAccessRequest] = None
 
-    @property
-    def loads(self) -> List[MemoryAccessRequest]:
-        """Members that are loads (excludes the MBE)."""
-        return [request for request in self.members if request.is_load]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 class InputBuffer:
     """Priority buffer grouping pending accesses by virtual page.
@@ -66,22 +59,19 @@ class InputBuffer:
         Storage for loads left over from previous cycles.  The evaluated
         MALEC configuration uses storage for two loads (Sec. VI-A); the
         scalable design of Fig. 2a allows three.
-    new_loads_per_cycle:
-        Maximum number of loads arriving from address computation per cycle.
     """
+
+    #: loads that may arrive from address computation in one cycle
+    new_loads_per_cycle = 4
 
     def __init__(
         self,
         held_capacity: int = 2,
-        new_loads_per_cycle: int = 4,
         stats: Optional[StatCounters] = None,
     ) -> None:
         if held_capacity < 0:
             raise ValueError("held capacity cannot be negative")
-        if new_loads_per_cycle <= 0:
-            raise ValueError("at least one new load per cycle must be possible")
         self.held_capacity = held_capacity
-        self.new_loads_per_cycle = new_loads_per_cycle
         self.stats = stats if stats is not None else StatCounters()
         self._held: Deque[MemoryAccessRequest] = deque()
         self._new: List[MemoryAccessRequest] = []
@@ -97,35 +87,8 @@ class InputBuffer:
         self._h_mbe_out = self.stats.handle("input_buffer.mbe_out")
 
     # ------------------------------------------------------------------
-    # Occupancy and back-pressure
+    # Back-pressure
     # ------------------------------------------------------------------
-    @property
-    def held_loads(self) -> List[MemoryAccessRequest]:
-        """Loads carried over from previous cycles (highest priority)."""
-        return list(self._held)
-
-    @property
-    def pending_loads(self) -> int:
-        """All loads currently waiting (held + arrived this cycle)."""
-        return len(self._held) + len(self._new)
-
-    @property
-    def has_mbe(self) -> bool:
-        """True when a merge-buffer entry is waiting to be written back."""
-        return self._mbe is not None
-
-    def can_accept_load(self) -> bool:
-        """True when another load may be submitted this cycle.
-
-        Address computation must stall when the buffer's storage would be
-        insufficient to hold unserviced loads (Sec. IV), which is the case
-        when the held storage is already full or this cycle's arrival slots
-        are exhausted.
-        """
-        if len(self._new) >= self.new_loads_per_cycle:
-            return False
-        return len(self._held) < self.held_capacity + 1
-
     def can_accept_mbe(self) -> bool:
         """True when the single MBE slot is free."""
         return self._mbe is None
@@ -154,13 +117,6 @@ class InputBuffer:
     # ------------------------------------------------------------------
     # Page-group selection
     # ------------------------------------------------------------------
-    def _candidates(self) -> List[MemoryAccessRequest]:
-        """All waiting entries in priority order (held, new, MBE)."""
-        ordered: List[MemoryAccessRequest] = list(self._held) + list(self._new)
-        if self._mbe is not None:
-            ordered.append(self._mbe)
-        return ordered
-
     def select_group(self) -> Optional[PageGroup]:
         """Identify this cycle's page group.
 
@@ -221,8 +177,9 @@ class InputBuffer:
     def end_cycle(self) -> int:
         """Carry unserviced loads over to the next cycle.
 
-        Returns the number of loads now held; the caller may use it to model
-        address-computation stalls (via :meth:`can_accept_load`).
+        Returns the number of loads now held (the interface's
+        ``can_accept_load`` stalls address computation when it exceeds
+        ``held_capacity``).
         """
         if self._new:
             self._held.extend(self._new)

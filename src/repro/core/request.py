@@ -8,9 +8,8 @@ happened, and bookkeeping used by the Input Buffer and Arbitration Unit
 (priority, arrival cycle, merge parent).
 
 Interface models create requests from pipeline instructions; the ``tag``
-field carries an opaque reference back to whatever issued the request (a
-:class:`repro.cpu.instruction.MemoryInstruction` in full simulations, a bare
-integer in unit tests).
+field carries an opaque reference back to whatever issued the request (the
+instruction's sequence number in simulations, any label in unit tests).
 
 One request is allocated per in-flight memory operation, so the class uses
 ``__slots__`` and resolves its address decomposition exactly once at
@@ -125,11 +124,6 @@ class MemoryAccessRequest:
     # ------------------------------------------------------------------
     # Convenience accessors used by the grouping / arbitration logic
     # ------------------------------------------------------------------
-    @property
-    def translated(self) -> bool:
-        """True once a physical address has been attached."""
-        return self.physical_address is not None
-
     def attach_translation(self, physical_page: int) -> None:
         """Fill in the physical address from a translated page id.
 
@@ -141,10 +135,6 @@ class MemoryAccessRequest:
         self.physical_address = (physical_page << layout.page_offset_bits) | (
             self.virtual_address & layout._page_offset_mask
         )
-
-    def same_page_as(self, other: "MemoryAccessRequest") -> bool:
-        """True when both requests touch the same virtual page."""
-        return self.virtual_page == other.virtual_page
 
     def same_line_as(self, other: "MemoryAccessRequest") -> bool:
         """True when both requests touch the same cache line."""

@@ -24,27 +24,11 @@ feedback raises coverage from 75 % to 94 %.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLB, TLBHierarchy
-
-
-@dataclass
-class WayPrediction:
-    """Result of consulting the way tables for one cache line.
-
-    ``known`` distinguishes a *determination* (the line is guaranteed to be in
-    ``way``, the tag arrays can be bypassed) from "unknown" (fall back to a
-    conventional access).  ``source`` records which structure produced the
-    prediction (``uwt``, ``wt`` or ``none``) for the coverage statistics.
-    """
-
-    known: bool
-    way: Optional[int] = None
-    source: str = "none"
 
 
 #: (banks, associativity, lines_per_page) -> per-line encode/decode tables
@@ -106,11 +90,6 @@ class WayTableEntry:
     # ------------------------------------------------------------------
     # Encoding helpers
     # ------------------------------------------------------------------
-    def excluded_way(self, line_in_page: int) -> int:
-        """Way that cannot be represented for ``line_in_page``."""
-        self._check_line(line_in_page)
-        return (line_in_page // self.layout.l1_banks) % self.layout.l1_associativity
-
     def _check_line(self, line_in_page: int) -> None:
         if line_in_page < 0 or line_in_page >= self.layout.lines_per_page:
             raise ValueError(
@@ -124,26 +103,12 @@ class WayTableEntry:
         self._check_line(line_in_page)
         return self._encode_tbl[line_in_page][way]
 
-    def _decode(self, line_in_page: int, code: int) -> Optional[int]:
-        """Map a 2-bit code back to a physical way (``None`` for unknown)."""
-        self._check_line(line_in_page)
-        return self._decode_tbl[line_in_page][code]
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     def way_of(self, line_in_page: int) -> Optional[int]:
-        """Determined way of ``line_in_page`` or ``None`` — the hot-path
-        :meth:`lookup` without the :class:`WayPrediction` allocation."""
+        """Determined way of ``line_in_page``, or ``None`` when unknown."""
         return self._decode_tbl[line_in_page][self._codes[line_in_page]]
-
-    def lookup(self, line_in_page: int) -> WayPrediction:
-        """Way prediction for one line of the page."""
-        self._check_line(line_in_page)
-        way = self._decode_tbl[line_in_page][self._codes[line_in_page]]
-        if way is None:
-            return WayPrediction(known=False)
-        return WayPrediction(known=True, way=way)
 
     def update(self, line_in_page: int, way: int) -> bool:
         """Record that ``line_in_page`` now resides in ``way``.
@@ -158,11 +123,6 @@ class WayTableEntry:
         self._codes[line_in_page] = code
         return True
 
-    def invalidate_line(self, line_in_page: int) -> None:
-        """Clear the code of one line (cache eviction)."""
-        self._check_line(line_in_page)
-        self._codes[line_in_page] = 0
-
     def clear(self) -> None:
         """Invalidate the whole entry (page replaced in the TLB)."""
         self._codes[:] = self._zeros
@@ -172,10 +132,6 @@ class WayTableEntry:
         if other.layout.lines_per_page != self.layout.lines_per_page:
             raise ValueError("way table entries have incompatible geometries")
         self._codes[:] = other._codes
-
-    def known_lines(self) -> int:
-        """Number of lines with a valid way determination."""
-        return sum(1 for code in self._codes if code != 0)
 
     # ------------------------------------------------------------------
     # Storage accounting (Fig. 3 discussion)
@@ -220,31 +176,10 @@ class WayTable:
         """Entry paired with TLB slot ``slot``."""
         return self._entries[slot]
 
-    def read(self, slot: int) -> WayTableEntry:
-        """Read the entry of ``slot`` (counted as one array read)."""
-        self.stats.bump(self._h_read)
-        return self._entries[slot]
-
-    def lookup_line(self, slot: int, line_in_page: int) -> WayPrediction:
-        """Prediction for one line of the page held in ``slot``.
-
-        The energy cost of serving any number of same-page accesses is a
-        single entry read; per-line decoding is free, so this helper does not
-        count additional events.
-        """
-        prediction = self._entries[slot].lookup(line_in_page)
-        prediction.source = self.name
-        return prediction
-
     def update_line(self, slot: int, line_in_page: int, way: int) -> bool:
         """Record a fill / feedback update for one line (one array write)."""
         self.stats.bump(self._h_update)
         return self._entries[slot].update(line_in_page, way)
-
-    def invalidate_line(self, slot: int, line_in_page: int) -> None:
-        """Clear validity of one line (cache eviction); one array write."""
-        self.stats.bump(self._h_update)
-        self._entries[slot].invalidate_line(line_in_page)
 
     def clear_entry(self, slot: int) -> None:
         """Invalidate the whole entry (page replaced)."""
@@ -368,19 +303,6 @@ class WayTableHierarchy:
             return self.wt.entry(tlb_slot)
         return None
 
-    def predict_line(self, virtual_page: int, line_in_page: int) -> WayPrediction:
-        """Prediction for a single line (convenience wrapper)."""
-        entry = self.predict_page(virtual_page)
-        if entry is None:
-            self.stats.add("way_pred.no_entry")
-            return WayPrediction(known=False, source="none")
-        prediction = entry.lookup(line_in_page)
-        prediction.source = "uwt" if self._last_uwt_slot is not None else "wt"
-        self.stats.add("way_pred.lookup")
-        if prediction.known:
-            self.stats.add("way_pred.known")
-        return prediction
-
     # ------------------------------------------------------------------
     # Feedback and cache-coherence updates
     # ------------------------------------------------------------------
@@ -451,11 +373,6 @@ class WayTableHierarchy:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    @property
-    def coverage(self) -> float:
-        """Fraction of predictions that returned a known, valid way."""
-        return self.stats.ratio("way_pred.known", "way_pred.lookup")
-
     @property
     def total_storage_bits(self) -> int:
         """Combined uWT + WT data-array storage."""

@@ -21,11 +21,24 @@ Two differences to way tables drive the evaluation results:
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.way_table import WayPrediction
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
+
+
+@dataclass
+class WayPrediction:
+    """Result of one WDU lookup.
+
+    ``known`` distinguishes a *determination* (the line is guaranteed to be in
+    ``way``, the tag arrays can be bypassed) from "unknown" (fall back to a
+    conventional access).
+    """
+
+    known: bool
+    way: Optional[int] = None
 
 
 class WayDeterminationUnit:
@@ -70,10 +83,10 @@ class WayDeterminationUnit:
         self.stats.add("way_pred.lookup")
         way = self._table.get(line)
         if way is None:
-            return WayPrediction(known=False, source=self.name)
+            return WayPrediction(known=False)
         self._table.move_to_end(line)
         self.stats.add("way_pred.known")
-        return WayPrediction(known=True, way=way, source=self.name)
+        return WayPrediction(known=True, way=way)
 
     def record(self, physical_address: int, way: int) -> None:
         """Insert/update the entry for a line after an access resolved its way."""
@@ -110,11 +123,6 @@ class WayDeterminationUnit:
         l1_cache.wdu = self
 
     # ------------------------------------------------------------------
-    @property
-    def occupancy(self) -> int:
-        """Number of lines currently tracked."""
-        return len(self._table)
-
     @property
     def coverage(self) -> float:
         """Fraction of predictions that returned a known way."""

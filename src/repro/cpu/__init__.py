@@ -17,16 +17,22 @@ results depend on:
 
 It is not an ISA simulator: non-memory instructions are single-cycle opaque
 "compute" operations that only carry dependence edges.
+
+The reorder buffer, the dependency rule and in-order commit live in one
+place, the reference loop :meth:`OutOfOrderPipeline._run_cycle_driven` (a
+deque of :class:`RobEntry`); the generated kernels of :mod:`repro.sim.kernels`
+are the fast rendering of the same loop.  Dependencies arrive as backward
+distances on each :class:`Instruction` and are resolved to producer sequence
+numbers at dispatch (by the reference loop) or once per trace (by the two
+``pipeline_arrays`` builders the kernels read).
 """
 
 from repro.cpu.instruction import Instruction, InstructionKind
-from repro.cpu.rob import ReorderBuffer, RobEntry
-from repro.cpu.pipeline import OutOfOrderPipeline, PipelineResult
+from repro.cpu.pipeline import OutOfOrderPipeline, PipelineResult, RobEntry
 
 __all__ = [
     "Instruction",
     "InstructionKind",
-    "ReorderBuffer",
     "RobEntry",
     "OutOfOrderPipeline",
     "PipelineResult",

@@ -82,17 +82,6 @@ class Instruction:
                 raise ValueError("dependency distances must be positive (backward)")
 
     # ------------------------------------------------------------------
-    def producers(self) -> Tuple[int, ...]:
-        """Absolute sequence numbers of this instruction's producers.
-
-        Only meaningful once ``seq`` has been assigned; negative results
-        (producers before the trace start) are dropped.
-        """
-        if self.seq < 0:
-            raise ValueError("instruction sequence number not assigned yet")
-        return tuple(self.seq - d for d in self.deps if self.seq - d >= 0)
-
-    # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instruction):
             return NotImplemented

@@ -64,12 +64,42 @@ per-cycle accumulation).
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Deque, Iterable, List, Optional, Tuple
 
 from repro.cpu.instruction import Instruction, build_pipeline_arrays
-from repro.cpu.rob import ReorderBuffer, RobEntry
 from repro.stats import StatCounters
+
+
+class RobEntry:
+    """Reorder-buffer book-keeping for one in-flight instruction (slotted).
+
+    The ROB itself is the reference loop's program-order deque of these
+    entries: dispatch appends at the tail while it holds fewer than
+    ``rob_entries``, and commit pops completed entries from the head, up to
+    the commit width per cycle.
+    """
+
+    __slots__ = (
+        "instruction",
+        "dispatch_cycle",
+        "issued",
+        "issue_cycle",
+        "completed",
+        "complete_cycle",
+        "pending_deps",
+    )
+
+    def __init__(self, instruction: Instruction, dispatch_cycle: int) -> None:
+        self.instruction = instruction
+        self.dispatch_cycle = dispatch_cycle
+        self.issued = False
+        self.issue_cycle: Optional[int] = None
+        self.completed = False
+        self.complete_cycle: Optional[int] = None
+        #: number of producers whose results are still outstanding
+        self.pending_deps = 0
 
 
 @dataclass
@@ -94,11 +124,6 @@ class PipelineResult:
     stores: int
     computes: int
 
-    @property
-    def ipc(self) -> float:
-        """Committed instructions per cycle."""
-        return self.instructions / self.cycles if self.cycles else 0.0
-
 
 class OutOfOrderPipeline:
     """Dependency-driven, resource-limited out-of-order execution model."""
@@ -117,7 +142,8 @@ class OutOfOrderPipeline:
         self.params = params
         self.stats = stats if stats is not None else StatCounters()
         self.max_cycles = max_cycles
-        self.rob = ReorderBuffer(params.rob_entries)
+        if params.rob_entries <= 0:
+            raise ValueError("the ROB needs at least one entry")
         self.enable_fast_forward = enable_fast_forward
         #: optional repro.obs.collector.RunCollector (duck-typed so this
         #: module does not import obs).  Strictly observational: category
@@ -140,13 +166,8 @@ class OutOfOrderPipeline:
         self.fast_forwarded_cycles = 0
 
     # ------------------------------------------------------------------
-    def run(self, trace: Iterable[Instruction], trace_arrays=None) -> PipelineResult:
+    def run(self, trace: Iterable[Instruction]) -> PipelineResult:
         """Execute ``trace`` to completion and return the cycle count.
-
-        ``trace_arrays`` optionally carries the seq-indexed
-        ``(kinds, addresses, sizes, producers)`` arrays of the *full* trace
-        (see :meth:`repro.workloads.trace.MemoryTrace.pipeline_arrays`) for
-        the kernel; when omitted they are derived here.
 
         Columnar input — a :class:`~repro.workloads.columnar.ColumnarTrace`
         or one of its windows (``run_slice``) — is recognised by its
@@ -196,8 +217,7 @@ class OutOfOrderPipeline:
             if seq >= capacity:
                 capacity = seq + 1
         if kernel is not None:
-            if trace_arrays is None or len(trace_arrays[0]) < capacity:
-                trace_arrays = build_pipeline_arrays(instructions, capacity)
+            trace_arrays = build_pipeline_arrays(instructions, capacity)
             result = kernel(self, seqs, total, capacity, trace_arrays)
             if result is not None:
                 self.kernel_used = True
@@ -238,9 +258,9 @@ class OutOfOrderPipeline:
         quiescent = getattr(interface, "quiescent", None)
         fast_forward = self.enable_fast_forward and quiescent is not None
 
-        rob = self.rob
-        rob_entries = rob.entries
-        rob_buffer = rob._buffer  # hot path: dispatch/commit are inlined below
+        # The reorder buffer: in-flight entries in program order.
+        rob_entries = params.rob_entries
+        rob_buffer: Deque[RobEntry] = deque()
         heappush = heapq.heappush
         heappop = heapq.heappop
 
@@ -441,7 +461,7 @@ class OutOfOrderPipeline:
                     heappush(completion_events, (ready_cycle, tag, entry))
 
             # ----------------------------------------------------------
-            # 4. Commit in order (inlined rob.commit_ready()).
+            # 4. Commit in order, up to the commit width.
             # ----------------------------------------------------------
             if rob_buffer and rob_buffer[0].completed:
                 commits = 0
@@ -469,8 +489,7 @@ class OutOfOrderPipeline:
             cycles_counted += 1
 
             # ----------------------------------------------------------
-            # 5. Fetch / dispatch into the ROB (inlined rob.dispatch(): the
-            #    capacity check below is the same one dispatch() performs).
+            # 5. Fetch / dispatch into the ROB while it has room.
             # ----------------------------------------------------------
             if next_fetch < total:
                 fetched = 0

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor, ProgressCallback
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, open_store
@@ -96,8 +97,7 @@ class Evaluator:
             seed=space.seed,
         )
         executor = ParallelExecutor(
-            jobs=self.jobs,
-            store=self.store,
+            options=RunOptions(jobs=self.jobs, store=self.store),
             progress=self.progress,
             trace_log=self.trace_log,
         )

@@ -67,21 +67,23 @@ class BaseL1Interface(ABC):
         The uTLB/TLB hierarchy used for address translation.
     stats:
         Shared statistics collection (usually the hierarchy's).
-    load_slots / store_slots / flexible_slots:
-        Per-cycle address-computation slots: dedicated load slots, dedicated
-        store slots and slots usable by either kind (Table I).
+
+    Each subclass fixes its Table I per-cycle address-computation slots as
+    the class constants ``load_slots`` (dedicated load slots),
+    ``store_slots`` (dedicated store slots) and ``flexible_slots`` (usable
+    by either kind).
     """
 
     name = "base"
+    load_slots = 0
+    store_slots = 0
+    flexible_slots = 0
 
     def __init__(
         self,
         hierarchy: MemoryHierarchy,
         translation: TLBHierarchy,
         stats: Optional[StatCounters] = None,
-        load_slots: int = 1,
-        store_slots: int = 0,
-        flexible_slots: int = 0,
         lq_entries: int = 40,
         sb_entries: int = 24,
         mb_entries: int = 4,
@@ -91,9 +93,6 @@ class BaseL1Interface(ABC):
         self.translation = translation
         self.layout = layout
         self.stats = stats if stats is not None else hierarchy.stats
-        self.load_slots = load_slots
-        self.store_slots = store_slots
-        self.flexible_slots = flexible_slots
         self.load_queue = LoadQueue(lq_entries, stats=self.stats)
         self.store_buffer = StoreBuffer(sb_entries, layout=layout, stats=self.stats)
         self.merge_buffer = MergeBuffer(mb_entries, layout=layout, stats=self.stats)
@@ -156,24 +155,24 @@ class BaseL1Interface(ABC):
     # ------------------------------------------------------------------
     # Acceptance checks (structural back-pressure)
     # ------------------------------------------------------------------
+    @abstractmethod
     def can_accept_load(self) -> bool:
-        """True when another load may be submitted this cycle."""
-        return not self.load_queue.full and self._can_accept_load_extra()
+        """True when another load may be submitted this cycle.
+
+        Each interface states its whole rule in one place: a free load-queue
+        entry plus room in the queue in front of its cache port(s).
+        """
 
     def can_accept_store(self) -> bool:
         """True when another store may be submitted this cycle."""
         return not self.store_buffer.full
-
-    def _can_accept_load_extra(self) -> bool:
-        """Subclass hook for additional back-pressure (e.g. Input Buffer full)."""
-        return True
 
     # ------------------------------------------------------------------
     # Submission and commit
     # ------------------------------------------------------------------
     def submit_load(self, tag: Any, address: int, size: int, cycle: int) -> None:
         """Accept a load whose address computation finished this cycle."""
-        self.load_queue.allocate_issued(tag, address, cycle, count=False)
+        self.load_queue.allocate_issued(tag, address, cycle)
         self.stats.bump_many(self._combo_load_submit)
         self._enqueue_load(tag, address, size, cycle)
 
@@ -245,9 +244,9 @@ class BaseL1Interface(ABC):
             and self._loads_quiescent()
         )
 
+    @abstractmethod
     def _loads_quiescent(self) -> bool:
-        """Subclass hook: True when no load is queued before the cache."""
-        return True
+        """True when no load is queued before the cache."""
 
     @abstractmethod
     def _enqueue_load(self, tag: Any, address: int, size: int, cycle: int) -> None:
@@ -273,13 +272,17 @@ class BaseL1Interface(ABC):
         """Search SB and MB for store-to-load forwarding (energy bookkeeping).
 
         All configurations perform these searches for every load; MALEC uses
-        the split page/offset structures.  Forwarding hits are counted but the
+        the split page/offset structures (``sb/mb.lookup_offset``), the
+        baselines full-width ones (``sb/mb.lookup_full``).  The store buffer
+        hits when a buffered store overlaps ``[virtual_address,
+        virtual_address + size)`` (scanned youngest first); the merge buffer
+        hits when it holds the load's line.  Each hit bumps that buffer's ``forward_hit`` but the
         load still accesses the cache, keeping the cache-access counts
         comparable across configurations (the paper excludes SB/MB energy).
 
-        The two buffer scans are inlined here (same counters as the buffers'
-        own ``probe``/``lookup`` methods, one fused charge bump): this runs
-        once per serviced load, so per-call overhead matters.
+        This is the one forwarding search of the reference model (the
+        generated kernels inline the same scan); it runs once per serviced
+        load, so the two lookup charges share one fused bump.
         """
         stats = self.stats
         store_buffer = self.store_buffer
@@ -299,12 +302,12 @@ class BaseL1Interface(ABC):
                     stats.bump(merge_buffer._h_forward_hit)
                     break
 
-    def _writeback_to_cache(self, writeback: PendingWriteback, way_hint: Optional[int] = None) -> None:
+    def _writeback_to_cache(self, writeback: PendingWriteback) -> None:
         """Perform the cache write of an evicted merge-buffer entry."""
         if writeback.physical_line_address is None:
             physical, _ = self.translation.translate_pair(writeback.virtual_line_address)
             writeback.physical_line_address = self.layout.line_address(physical)
-        self.hierarchy.l1.store_parts(writeback.physical_line_address, way_hint=way_hint)
+        self.hierarchy.l1.store_parts(writeback.physical_line_address)
         self.stats.bump(self._h_mbe_written)
 
     # ------------------------------------------------------------------
@@ -329,9 +332,3 @@ class BaseL1Interface(ABC):
             self._queue_writeback(mbe)
         while self._pending_writebacks:
             self._writeback_to_cache(self._pending_writebacks.popleft())
-
-    # ------------------------------------------------------------------
-    @property
-    def pending_work(self) -> bool:
-        """True when loads or write-backs are still waiting (used in tests)."""
-        return bool(self._pending_writebacks)

@@ -26,6 +26,10 @@ class BaselineSingleInterface(BaseL1Interface):
     """One memory access per cycle, single-ported everywhere."""
 
     name = "Base1ldst"
+    #: Table I: one load *or* store finishes address computation per cycle
+    load_slots = 0
+    store_slots = 0
+    flexible_slots = 1
 
     def __init__(
         self,
@@ -34,25 +38,14 @@ class BaselineSingleInterface(BaseL1Interface):
         stats: Optional[StatCounters] = None,
         **kwargs,
     ) -> None:
-        super().__init__(
-            hierarchy,
-            translation,
-            stats=stats,
-            load_slots=0,
-            store_slots=0,
-            flexible_slots=1,
-            **kwargs,
-        )
+        super().__init__(hierarchy, translation, stats=stats, **kwargs)
         self._pending_loads: Deque[PendingLoad] = deque()
 
     # ------------------------------------------------------------------
-    def _can_accept_load_extra(self) -> bool:
-        # A small queue in front of the single cache port; deeper queuing
-        # would only hide the structural hazard the paper wants to expose.
-        return len(self._pending_loads) < 4
-
     def can_accept_load(self) -> bool:
-        # Inline of the base check + the pending-queue bound (hot path).
+        # A free load-queue entry and room in the small queue in front of
+        # the single cache port; deeper queuing would only hide the
+        # structural hazard the paper wants to expose.
         lq = self.load_queue
         return len(lq._entries) < lq.entries and len(self._pending_loads) < 4
 

@@ -28,6 +28,12 @@ class BaselineDualLoadInterface(BaseL1Interface):
     """Two loads plus one store per cycle via physical multi-porting."""
 
     name = "Base2ld1st"
+    #: Table I: two loads plus one store finish address computation per cycle
+    load_slots = 2
+    store_slots = 1
+    flexible_slots = 0
+    #: loads serviced per cycle through the banks' read ports
+    loads_per_cycle = 2
 
     #: per-cycle limits of the dual-ported banks
     _MAX_ACCESSES_PER_BANK = 2
@@ -38,28 +44,16 @@ class BaselineDualLoadInterface(BaseL1Interface):
         hierarchy: MemoryHierarchy,
         translation: TLBHierarchy,
         stats: Optional[StatCounters] = None,
-        loads_per_cycle: int = 2,
         **kwargs,
     ) -> None:
-        super().__init__(
-            hierarchy,
-            translation,
-            stats=stats,
-            load_slots=loads_per_cycle,
-            store_slots=1,
-            flexible_slots=0,
-            **kwargs,
-        )
-        self.loads_per_cycle = loads_per_cycle
+        super().__init__(hierarchy, translation, stats=stats, **kwargs)
         self._pending_loads: Deque[PendingLoad] = deque()
         self._h_bank_conflict = self.stats.handle("interface.bank_conflict")
 
     # ------------------------------------------------------------------
-    def _can_accept_load_extra(self) -> bool:
-        return len(self._pending_loads) < 2 * self.loads_per_cycle
-
     def can_accept_load(self) -> bool:
-        # Inline of the base check + the pending-queue bound (hot path).
+        # A free load-queue entry and at most two cycles' worth of loads
+        # queued in front of the read ports.
         lq = self.load_queue
         return (
             len(lq._entries) < lq.entries

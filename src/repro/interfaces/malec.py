@@ -47,6 +47,10 @@ class MalecInterface(BaseL1Interface):
     """Page-grouped, way-determined L1 interface (the paper's proposal)."""
 
     name = "MALEC"
+    #: Table I: one load plus two load/store slots per cycle
+    load_slots = 1
+    store_slots = 0
+    flexible_slots = 2
 
     def __init__(
         self,
@@ -59,30 +63,17 @@ class MalecInterface(BaseL1Interface):
         merge_granularity: str = "subblock_pair",
         result_buses: int = 4,
         input_buffer_capacity: int = 2,
-        new_loads_per_cycle: int = 4,
         merge_window: int = 3,
-        dedicated_load_slots: int = 1,
-        flexible_slots: int = 2,
         **kwargs,
     ) -> None:
-        super().__init__(
-            hierarchy,
-            translation,
-            stats=stats,
-            load_slots=dedicated_load_slots,
-            store_slots=0,
-            flexible_slots=flexible_slots,
-            **kwargs,
-        )
+        super().__init__(hierarchy, translation, stats=stats, **kwargs)
         if way_determination not in WAY_DETERMINATION_SCHEMES:
             raise ValueError(
                 f"way_determination {way_determination!r} not in {WAY_DETERMINATION_SCHEMES}"
             )
         self.way_determination = way_determination
         self.input_buffer = InputBuffer(
-            held_capacity=input_buffer_capacity,
-            new_loads_per_cycle=new_loads_per_cycle,
-            stats=self.stats,
+            held_capacity=input_buffer_capacity, stats=self.stats
         )
         self.arbitration = ArbitrationUnit(
             layout=self.layout,
@@ -130,12 +121,10 @@ class MalecInterface(BaseL1Interface):
     # ------------------------------------------------------------------
     # Back-pressure and queuing
     # ------------------------------------------------------------------
-    def _can_accept_load_extra(self) -> bool:
-        return self.input_buffer.can_accept_load()
-
     def can_accept_load(self) -> bool:
-        # Inline of the base check + input_buffer.can_accept_load(): this
-        # runs once per load issue attempt, so the call chain is flattened.
+        # A free load-queue entry, a free arrival slot this cycle and held
+        # storage that is not yet overflowing: address computation stalls
+        # when the Input Buffer could not hold the unserviced loads (Sec. IV).
         lq = self.load_queue
         if len(lq._entries) >= lq.entries:
             return False
@@ -302,30 +291,6 @@ class MalecInterface(BaseL1Interface):
             self.stats.bump_many(self._combo_way_known)
 
     # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
-    @property
-    def way_coverage(self) -> float:
-        """Fraction of L1 accesses serviced with a known, valid way."""
-        return self.stats.ratio("malec.way_known", "malec.way_lookup")
-
-    @property
-    def merged_load_fraction(self) -> float:
-        """Fraction of serviced loads that shared another load's bank access."""
-        merged = self.stats.get("interface.loads_merged")
-        accesses = self.stats.get("interface.load_accesses")
-        total = merged + accesses
-        return merged / total if total else 0.0
-
-    @property
-    def pending_work(self) -> bool:
-        """True when loads, MBEs or write-backs are still in flight."""
-        return (
-            not self.input_buffer.empty
-            or bool(self._mbe_backlog)
-            or bool(self._pending_writebacks)
-        )
-
     def finalize(self, cycle: int) -> None:
         """Drain the Input Buffer's MBE backlog in addition to the base drain."""
         # An MBE may still sit in the Input Buffer's single MBE slot.

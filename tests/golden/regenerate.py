@@ -42,7 +42,7 @@ def regenerate(path: Path) -> int:
     spec = campaign_preset("fig4-mini")
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(tmp)
-        ParallelExecutor(jobs=1, store=store).run(spec)
+        ParallelExecutor(options=RunOptions(jobs=1, store=store)).run(spec)
         records = {record["key"]: record for record in store.records()}
     payload = {
         "preset": spec.name,

@@ -1,5 +1,5 @@
-"""Tests for :mod:`repro.api`: RunOptions fields, resolution and the
-options=/legacy-kwarg exclusivity rule of the executor."""
+"""Tests for :mod:`repro.api`: RunOptions fields and resolution, and
+``options=`` as the only way to configure runs and the executor."""
 
 from __future__ import annotations
 
@@ -35,12 +35,6 @@ class TestRunOptions:
         with pytest.raises(ValueError, match="kernel"):
             RunOptions(kernel="quantum").resolved_kernel()
 
-    def test_with_overrides(self):
-        options = RunOptions(kernel="generic")
-        bumped = options.with_overrides(jobs=4)
-        assert bumped.kernel == "generic" and bumped.jobs == 4
-        assert options.jobs is None  # frozen original untouched
-
     def test_open_store_from_url(self, tmp_path):
         options = RunOptions(store=f"sqlite:{tmp_path / 's.db'}")
         store = options.open_store()
@@ -73,9 +67,11 @@ class TestSimulatorOptions:
 
 
 class TestExecutorOptions:
-    def test_executor_rejects_mixed_configuration(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            ParallelExecutor(jobs=1, options=RunOptions(jobs=2))
+    @pytest.mark.parametrize("kwarg", ["jobs", "store"])
+    def test_loose_executor_kwargs_rejected(self, kwarg):
+        # Worker count and store travel in ``options=`` like every run knob.
+        with pytest.raises(TypeError):
+            ParallelExecutor(**{kwarg: None})
 
     def test_executor_options_store_url(self, tmp_path):
         executor = ParallelExecutor(

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import RunOptions
 from repro.campaign import executor as executor_module
 from repro.campaign.aggregate import results_from_store, summarize_store
 from repro.campaign.executor import CellExecutionError, ParallelExecutor
@@ -152,7 +153,7 @@ class TestStore:
 class TestExecutor:
     def test_serial_sweep_writes_one_record_per_cell(self, tmp_path):
         store = ResultStore(tmp_path / "camp")
-        executor = ParallelExecutor(jobs=1, store=store)
+        executor = ParallelExecutor(options=RunOptions(jobs=1, store=store))
         results = executor.run(small_spec())
         assert len(executor.completed_cells) == len(BENCHMARKS) * len(CONFIGS)
         assert not executor.skipped_cells
@@ -163,12 +164,13 @@ class TestExecutor:
     def test_resume_skips_completed_cells(self, tmp_path):
         store = ResultStore(tmp_path / "camp")
         spec = small_spec()
-        first = ParallelExecutor(jobs=1, store=store)
+        first = ParallelExecutor(options=RunOptions(jobs=1, store=store))
         baseline = first.run(spec)
 
         events = []
         second = ParallelExecutor(
-            jobs=1, store=store, progress=lambda e, c, d, t: events.append(e)
+            options=RunOptions(jobs=1, store=store),
+            progress=lambda e, c, d, t: events.append(e),
         )
         resumed = second.run(spec)
         assert not second.completed_cells
@@ -185,20 +187,22 @@ class TestExecutor:
         store = ResultStore(tmp_path / "camp")
         spec = small_spec()
         cells = spec.cells()
-        seeded = ParallelExecutor(jobs=1, store=store)
+        seeded = ParallelExecutor(options=RunOptions(jobs=1, store=store))
         # Pre-compute only the first benchmark's cells.
         mini = small_spec(benchmarks=BENCHMARKS[:1])
         seeded.run(mini)
 
-        executor = ParallelExecutor(jobs=1, store=store)
+        executor = ParallelExecutor(options=RunOptions(jobs=1, store=store))
         executor.run(spec)
         assert len(executor.skipped_cells) == len(CONFIGS)
         assert len(executor.completed_cells) == len(cells) - len(CONFIGS)
 
     def test_parallel_results_equal_serial(self, tmp_path):
         spec = small_spec()
-        serial = ParallelExecutor(jobs=1).run(spec)
-        executor = ParallelExecutor(jobs=2, store=ResultStore(tmp_path / "par"))
+        serial = ParallelExecutor(options=RunOptions(jobs=1)).run(spec)
+        executor = ParallelExecutor(
+            options=RunOptions(jobs=2, store=ResultStore(tmp_path / "par"))
+        )
         parallel = executor.run(spec)
         if not executor.used_pool:
             pytest.skip("process pool unavailable on this platform")
@@ -211,7 +215,7 @@ class TestExecutor:
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            ParallelExecutor(jobs=0)
+            ParallelExecutor(options=RunOptions(jobs=0))
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -240,7 +244,7 @@ class TestExecutor:
         obs_metrics.registry.clear()
         obs_metrics.enable()
         try:
-            executor = ParallelExecutor(jobs=2)
+            executor = ParallelExecutor(options=RunOptions(jobs=2))
             with pytest.raises(CellExecutionError) as failure:
                 executor.run(spec)
             fallbacks = obs_metrics.registry.dump().get("campaign.pool_fallbacks")
@@ -266,7 +270,7 @@ class TestAggregate:
     def test_results_rebuilt_from_store_match_the_sweep(self, tmp_path):
         store = ResultStore(tmp_path / "camp")
         spec = small_spec()
-        live = ParallelExecutor(jobs=1, store=store).run(spec)
+        live = ParallelExecutor(options=RunOptions(jobs=1, store=store)).run(spec)
         rebuilt = results_from_store(store)
         assert rebuilt.configurations == live.configurations
         assert [run.benchmark for run in rebuilt.runs] == [
@@ -282,15 +286,15 @@ class TestAggregate:
 
     def test_summarize_store_reports_geomeans(self, tmp_path):
         store = ResultStore(tmp_path / "camp")
-        ParallelExecutor(jobs=1, store=store).run(small_spec())
+        ParallelExecutor(options=RunOptions(jobs=1, store=store)).run(small_spec())
         text = summarize_store(store)
         assert "geo. mean all (time)" in text
         assert "Base1ldst" in text and "MALEC" in text
 
     def test_ambiguous_store_raises(self, tmp_path):
         store = ResultStore(tmp_path / "camp")
-        ParallelExecutor(jobs=1, store=store).run(small_spec(benchmarks=("gzip",)))
-        ParallelExecutor(jobs=1, store=store).run(
+        ParallelExecutor(options=RunOptions(jobs=1, store=store)).run(small_spec(benchmarks=("gzip",)))
+        ParallelExecutor(options=RunOptions(jobs=1, store=store)).run(
             small_spec(benchmarks=("gzip",), instructions=INSTRUCTIONS + 100)
         )
         with pytest.raises(ValueError):

@@ -37,25 +37,24 @@ class TestMemoryAccessRequest:
         assert request.virtual_page == 5
         assert request.line_in_page == 9
         assert request.bank_index == 9 % 4
-        assert not request.translated
+        assert request.physical_address is None
 
     def test_attach_translation(self):
         request = load_request(5, 9, 16)
         request.attach_translation(0x777)
-        assert request.translated
         assert layout.page_id(request.physical_address) == 0x777
         assert layout.page_offset(request.physical_address) == layout.page_offset(
             request.virtual_address
         )
 
-    def test_same_page_line_subblock_relations(self):
+    def test_line_and_subblock_relations(self):
         a = load_request(5, 9, 0)
         b = load_request(5, 9, 8)
         c = load_request(5, 9, 40)
         d = load_request(5, 10, 0)
-        assert a.same_page_as(b) and a.same_line_as(b) and a.same_subblock_pair_as(b)
+        assert a.same_line_as(b) and a.same_subblock_pair_as(b)
         assert a.same_line_as(c) and not a.same_subblock_pair_as(c)
-        assert a.same_page_as(d) and not a.same_line_as(d)
+        assert a.virtual_page == d.virtual_page and not a.same_line_as(d)
 
     def test_unique_request_ids(self):
         ids = {load_request(0, 0).request_id for _ in range(10)}
@@ -70,7 +69,7 @@ class TestInputBuffer:
         buffer.add_load(load_request(1, 5))
         group = buffer.select_group()
         assert group.virtual_page == 1
-        assert len(group.loads) == 2
+        assert [request.line_in_page for request in group.members] == [0, 5]
 
     def test_held_loads_have_priority_over_new(self):
         buffer = InputBuffer()
@@ -107,16 +106,24 @@ class TestInputBuffer:
         buffer.retire(group.members)
         held = buffer.end_cycle()
         assert held == 1                       # the page-2 load is carried over
-        assert buffer.held_loads[0] is second
+        assert buffer.select_group().members == [second]
 
-    def test_back_pressure_when_held_storage_full(self):
-        buffer = InputBuffer(held_capacity=1, new_loads_per_cycle=4)
-        for page in range(4):
+    def test_arrival_slots_per_cycle(self):
+        buffer = InputBuffer()
+        for page in range(InputBuffer.new_loads_per_cycle):
+            buffer.add_load(load_request(page, 0))
+        with pytest.raises(RuntimeError):
+            buffer.add_load(load_request(9, 0))
+
+    def test_overflow_cycle_counted_above_held_capacity(self):
+        stats = StatCounters()
+        buffer = InputBuffer(held_capacity=1, stats=stats)
+        for page in range(3):
             buffer.add_load(load_request(page, 0))
         buffer.select_group()
         buffer.retire([])
-        buffer.end_cycle()
-        assert not buffer.can_accept_load()
+        assert buffer.end_cycle() == 3
+        assert stats["input_buffer.overflow_cycle"] == 1
 
     def test_single_mbe_slot(self):
         buffer = InputBuffer()
@@ -149,7 +156,7 @@ class TestInputBuffer:
 
 class TestArbitrationUnit:
     def _group(self, *requests):
-        buffer = InputBuffer(new_loads_per_cycle=8)
+        buffer = InputBuffer()
         for request in requests:
             if request.is_mbe:
                 buffer.add_mbe(request)

@@ -1,10 +1,17 @@
-"""Tests for instructions, the ROB and the out-of-order pipeline."""
+"""Tests for instructions and the out-of-order pipeline's reference loop
+(dependencies, ROB dispatch/commit, slots)."""
 
 import pytest
 
-from repro.cpu.instruction import Instruction, InstructionKind, compute, load, store
+from repro.cpu.instruction import (
+    Instruction,
+    InstructionKind,
+    build_pipeline_arrays,
+    compute,
+    load,
+    store,
+)
 from repro.cpu.pipeline import OutOfOrderPipeline, PipelineParametersLite
-from repro.cpu.rob import ReorderBuffer
 
 
 class TestInstruction:
@@ -26,52 +33,16 @@ class TestInstruction:
         with pytest.raises(ValueError):
             compute(deps=(-1,))
 
-    def test_producers_resolved_from_seq(self):
-        instruction = compute(deps=(1, 3))
-        instruction.seq = 10
-        assert instruction.producers() == (9, 7)
-
-    def test_producers_before_trace_start_dropped(self):
-        instruction = compute(deps=(5,))
-        instruction.seq = 2
-        assert instruction.producers() == ()
-
-    def test_producers_requires_seq(self):
-        with pytest.raises(ValueError):
-            compute(deps=(1,)).producers()
-
-
-class TestReorderBuffer:
-    def test_dispatch_commit_in_order(self):
-        rob = ReorderBuffer(entries=4)
-        a = rob.dispatch(load(0x0), cycle=0)
-        b = rob.dispatch(compute(), cycle=0)
-        b.completed = True
-        # Head (a) is not complete: nothing commits yet.
-        assert rob.commit_ready(4) == []
-        a.completed = True
-        committed = rob.commit_ready(4)
-        assert [e.instruction for e in committed] == [a.instruction, b.instruction]
-        assert rob.empty
-
-    def test_commit_width_respected(self):
-        rob = ReorderBuffer(entries=8)
-        entries = [rob.dispatch(compute(), 0) for _ in range(5)]
-        for entry in entries:
-            entry.completed = True
-        assert len(rob.commit_ready(2)) == 2
-        assert len(rob) == 3
-
-    def test_overflow(self):
-        rob = ReorderBuffer(entries=1)
-        rob.dispatch(compute(), 0)
-        assert rob.full
-        with pytest.raises(RuntimeError):
-            rob.dispatch(compute(), 0)
-
-    def test_zero_entries_rejected(self):
-        with pytest.raises(ValueError):
-            ReorderBuffer(entries=0)
+    def test_pipeline_arrays_resolve_producers(self):
+        # Backward distances become absolute producer seqs; producers before
+        # the trace start are dropped (the reference loop skips them too).
+        trace = [compute(), compute(), compute(deps=(1, 2)), compute(deps=(5,))]
+        for seq, instruction in enumerate(trace):
+            instruction.seq = seq
+        kinds, _, _, producers = build_pipeline_arrays(trace, len(trace))
+        assert producers[2] == (1, 0)
+        assert producers[3] == ()
+        assert bytes(kinds) == bytes(4)
 
 
 class FakeInterface:
@@ -123,7 +94,7 @@ class FakeInterface:
         self.submitted_stores.append((tag, cycle))
 
     def commit_store(self, tag, cycle):
-        self.committed_stores.append(tag)
+        self.committed_stores.append((tag, cycle))
 
     def tick(self, cycle):
         ready = [(tag, when) for tag, when in self._pending if when <= cycle + self.latency]
@@ -157,7 +128,7 @@ class TestPipeline:
     def test_ipc_bounded_by_commit_width(self):
         trace = [compute() for _ in range(600)]
         result, _ = self._run(trace)
-        assert result.ipc <= 6.0 + 1e-9
+        assert result.instructions / result.cycles <= 6.0 + 1e-9
 
     def test_dependent_compute_waits_for_load(self):
         fast = [load(0x100), compute()]
@@ -203,3 +174,53 @@ class TestPipeline:
         pipeline = OutOfOrderPipeline(StuckInterface(), max_cycles=200)
         with pytest.raises(RuntimeError):
             pipeline.run([load(0x100)])
+
+
+class TestReorderBuffer:
+    """ROB dispatch and in-order commit, as the reference loop runs them."""
+
+    def _run(self, trace, latency=2, load_slots=8, store_slots=8, **params):
+        interface = FakeInterface(
+            latency=latency, load_slots=load_slots, store_slots=store_slots
+        )
+        pipeline = OutOfOrderPipeline(
+            interface, params=PipelineParametersLite(**params)
+        )
+        return pipeline.run(trace), interface
+
+    def test_commit_waits_for_the_oldest_instruction(self):
+        # Younger stores complete long before the head load returns, but
+        # none commits ahead of it, and they commit in program order.
+        trace = [load(0x100)] + [store(0x200 + 64 * i) for i in range(4)]
+        result, interface = self._run(trace, latency=30)
+        (_, load_submitted), = interface.submitted_loads
+        commits = interface.committed_stores
+        assert [tag for tag, _ in commits] == [1, 2, 3, 4]
+        assert all(cycle >= load_submitted + 30 for _, cycle in commits)
+        assert result.cycles == commits[-1][1] + 1
+
+    def test_commit_width_per_cycle(self):
+        trace = [store(0x100 + 64 * i) for i in range(12)]
+        _, interface = self._run(trace, commit_width=2)
+        per_cycle = {}
+        for _, cycle in interface.committed_stores:
+            per_cycle[cycle] = per_cycle.get(cycle, 0) + 1
+        assert max(per_cycle.values()) == 2
+        assert sum(per_cycle.values()) == 12
+
+    @pytest.mark.parametrize("entries", [4, 5])
+    def test_capacity_bounds_the_window(self, entries):
+        # Stuck behind a long head load, the ROB dispatches exactly its
+        # capacity; the next instruction waits until the head commits.
+        trace = [load(0x1000 + 64 * i) for i in range(8)]
+        _, interface = self._run(trace, latency=50, rob_entries=entries)
+        submitted = dict(interface.submitted_loads)
+        assert max(submitted[tag] for tag in range(entries)) < 50
+        assert submitted[entries] >= submitted[0] + 50
+
+    def test_zero_entries_rejected(self):
+        with pytest.raises(ValueError, match="ROB"):
+            OutOfOrderPipeline(
+                FakeInterface(), params=PipelineParametersLite(rob_entries=0)
+            )
+

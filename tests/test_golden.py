@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.campaign.store import ResultStore
@@ -75,6 +76,6 @@ class TestGoldenFig4Mini:
     def test_serial_executor_matches_golden_without_cli(self, golden, tmp_path):
         # The same records must fall out of the Python API (no CLI layer).
         store = ResultStore(tmp_path / "api_store")
-        ParallelExecutor(jobs=1, store=store).run(campaign_preset("fig4-mini"))
+        ParallelExecutor(options=RunOptions(jobs=1, store=store)).run(campaign_preset("fig4-mini"))
         fresh = {record["key"]: record for record in store.records()}
         assert fresh == golden["records"]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
@@ -227,8 +228,9 @@ class TestTransforms:
         merged = interleave([a, b], granularity=1)
         # Order: a0 b0 a1 b1 a2 b2 -> a1 at seq 2 consumes a0 at seq 0,
         # a2 at seq 4 also consumes a0.
-        assert merged[2].producers() == (0,)
-        assert merged[4].producers() == (0,)
+        producers = merged.pipeline_arrays()[3]
+        assert producers[2] == (0,)
+        assert producers[4] == (0,)
 
     def test_interleave_simulates(self):
         merged = interleave([_toy_trace("a"), _toy_trace("b", base=0x8000)])
@@ -313,7 +315,7 @@ class TestCampaignIntegration:
 
     def test_executor_runs_mixed_grid(self):
         handle = register_trace(_toy_trace())
-        results = ParallelExecutor(jobs=1).run(self._spec("gzip", handle.name))
+        results = ParallelExecutor(options=RunOptions(jobs=1)).run(self._spec("gzip", handle.name))
         run = results.run_for(handle.name)
         assert run.suite == "ingested"
         assert run.results["MALEC"].instructions == len(_toy_trace())
@@ -322,21 +324,23 @@ class TestCampaignIntegration:
     def test_long_traces_truncate_to_the_cell_budget(self):
         long = MemoryTrace("long", [load(0x100 + 4 * i) for i in range(64)])
         handle = register_trace(long)
-        results = ParallelExecutor(jobs=1).run(self._spec(handle.name, instructions=16))
+        results = ParallelExecutor(options=RunOptions(jobs=1)).run(self._spec(handle.name, instructions=16))
         assert results.run_for(handle.name).results["MALEC"].instructions == 16
 
     def test_store_resume_recognises_reregistered_traces(self, tmp_path):
         handle = register_trace(_toy_trace())
         store_dir = ResultStore(tmp_path / "camp")
         spec = self._spec(handle.name)
-        first = ParallelExecutor(jobs=1, store=store_dir)
+        first = ParallelExecutor(options=RunOptions(jobs=1, store=store_dir))
         first.run(spec)
         assert len(first.completed_cells) == 2
 
         # A fresh registry (new process, same trace bytes) resumes fully.
         clear_registry()
         register_trace(_toy_trace())
-        second = ParallelExecutor(jobs=1, store=ResultStore(tmp_path / "camp"))
+        second = ParallelExecutor(
+            options=RunOptions(jobs=1, store=ResultStore(tmp_path / "camp"))
+        )
         second.run(self._spec(handle.name))
         assert len(second.completed_cells) == 0
         assert len(second.skipped_cells) == 2
@@ -344,13 +348,13 @@ class TestCampaignIntegration:
     def test_store_records_the_trace_hash(self, tmp_path):
         handle = register_trace(_toy_trace())
         store_dir = ResultStore(tmp_path / "camp")
-        ParallelExecutor(jobs=1, store=store_dir).run(self._spec(handle.name))
+        ParallelExecutor(options=RunOptions(jobs=1, store=store_dir)).run(self._spec(handle.name))
         records = list(store_dir.records())
         assert all(r["trace_hash"] == handle.fingerprint for r in records)
 
     def test_pool_path_ships_trace_bytes(self):
         handle = register_trace(_toy_trace())
-        executor = ParallelExecutor(jobs=2)
+        executor = ParallelExecutor(options=RunOptions(jobs=2))
         results = executor.run(self._spec("gzip", handle.name))
         # Pool or serial fallback: either way every cell must be present.
         assert results.run_for(handle.name).results["Base1ldst"].cycles > 0
@@ -360,21 +364,21 @@ class TestCampaignIntegration:
         # is keyed by content hash, so the second sweep must simulate the
         # *new* trace, not the one cached from the first sweep.
         register_trace(_toy_trace(), name="app")
-        executor = ParallelExecutor(jobs=1)
+        executor = ParallelExecutor(options=RunOptions(jobs=1))
         first = executor.run(self._spec("app"))
 
         clear_registry()
         longer = MemoryTrace("toy", list(_toy_trace()) + [load(0x4000), store(0x4008)])
         register_trace(longer, name="app")
-        second = ParallelExecutor(jobs=1, trace_cache=executor.trace_cache).run(
-            self._spec("app")
-        )
+        second = ParallelExecutor(
+            options=RunOptions(jobs=1), trace_cache=executor.trace_cache
+        ).run(self._spec("app"))
         assert first.run_for("app").results["MALEC"].instructions == 6
         assert second.run_for("app").results["MALEC"].instructions == 8
 
     def test_manifest_lists_trace_fingerprints(self, tmp_path):
         handle = register_trace(_toy_trace())
         store_dir = ResultStore(tmp_path / "camp")
-        ParallelExecutor(jobs=1, store=store_dir).run(self._spec("gzip", handle.name))
+        ParallelExecutor(options=RunOptions(jobs=1, store=store_dir)).run(self._spec("gzip", handle.name))
         manifest = store_dir.manifest()
         assert manifest["traces"] == {handle.name: handle.fingerprint}

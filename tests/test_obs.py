@@ -136,9 +136,11 @@ class TestIdentityAndAttribution:
 
     def test_fig4_mini_campaign_bit_identical_with_metrics(self):
         spec = campaign_preset("fig4-mini").with_overrides(instructions=500)
-        plain = ParallelExecutor(jobs=1).run(spec)
+        plain = ParallelExecutor(options=RunOptions(jobs=1)).run(spec)
         obs_metrics.enable()
-        observed = ParallelExecutor(jobs=1, trace_log=TraceEventLog()).run(spec)
+        observed = ParallelExecutor(
+            options=RunOptions(jobs=1), trace_log=TraceEventLog()
+        ).run(spec)
         for before, after in zip(plain.runs, observed.runs):
             assert before.benchmark == after.benchmark
             for name, result in before.results.items():
@@ -243,7 +245,7 @@ class TestTraceEvents:
     def test_executor_emits_schema_valid_spans(self):
         spec = campaign_preset("fig4-mini").with_overrides(instructions=400)
         log = TraceEventLog()
-        ParallelExecutor(jobs=1, trace_log=log).run(spec)
+        ParallelExecutor(options=RunOptions(jobs=1), trace_log=log).run(spec)
         assert validate_trace_events(log.as_dict()) == len(log)
         spans = [e for e in log.events if e["ph"] == "X"]
         assert len(spans) == len(spec.cells())
@@ -386,7 +388,7 @@ class TestCampaignObservability:
     def test_metrics_flushed_after_run(self):
         obs_metrics.enable()
         spec = campaign_preset("fig4-mini").with_overrides(instructions=400)
-        ParallelExecutor(jobs=1).run(spec)
+        ParallelExecutor(options=RunOptions(jobs=1)).run(spec)
         snapshot = obs_metrics.registry.snapshot()
         assert snapshot["campaign.cells_completed"] == len(spec.cells())
         assert snapshot["campaign.cells_skipped"] == 0
@@ -395,7 +397,7 @@ class TestCampaignObservability:
 
     def test_no_metrics_when_disabled(self):
         spec = campaign_preset("fig4-mini").with_overrides(instructions=400)
-        ParallelExecutor(jobs=1).run(spec)
+        ParallelExecutor(options=RunOptions(jobs=1)).run(spec)
         assert len(obs_metrics.registry) == 0
 
 

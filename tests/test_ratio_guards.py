@@ -13,7 +13,6 @@ import pytest
 from repro.analysis.experiments import BenchmarkRun, ExperimentResults
 from repro.analysis.reporting import geometric_mean, normalize
 from repro.campaign.aggregate import summarize_results
-from repro.cpu.pipeline import PipelineResult
 from repro.energy.accounting import EnergyReport, StructureEnergy
 from repro.sim.simulator import SimulationResult, _guarded_ratio
 from repro.stats import StatCounters
@@ -78,10 +77,6 @@ class TestSimulationResultRatios:
 
 
 class TestPipelineAndEnergyRatios:
-    def test_pipeline_ipc_zero_cycles(self):
-        result = PipelineResult(cycles=0, instructions=0, loads=0, stores=0, computes=0)
-        assert result.ipc == 0.0
-
     def test_energy_leakage_share_zero_total(self):
         assert EnergyReport(cycles=0).leakage_share == 0.0
 

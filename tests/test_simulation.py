@@ -196,7 +196,14 @@ class TestExperimentRunner:
 
     def test_trace_cache_reused(self):
         runner = ExperimentRunner(instructions=500, benchmarks=["gzip"])
-        assert runner.trace_for("gzip") is runner.trace_for("gzip")
+        config = SimulationConfig.base_1ldst()
+        runner.run([config], jobs=1)
+        cached = dict(runner._trace_cache)
+        assert len(cached) == 1
+        runner.run([config], jobs=1)
+        assert runner._trace_cache.keys() == cached.keys()
+        for key, trace in cached.items():
+            assert runner._trace_cache[key] is trace
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

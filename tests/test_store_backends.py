@@ -8,6 +8,7 @@ import sqlite3
 
 import pytest
 
+from repro.api import RunOptions
 from repro.campaign.backends import (
     JsonDirectoryBackend,
     SqliteBackend,
@@ -140,8 +141,8 @@ class TestBitIdenticalAcrossBackends:
         spec = small_spec(benchmarks=("gzip",))
         json_store = ResultStore(f"json:{tmp_path / 'json_store'}")
         sqlite_store = ResultStore(f"sqlite:{tmp_path / 'store.db'}")
-        ParallelExecutor(jobs=1, store=json_store).run(spec)
-        ParallelExecutor(jobs=1, store=sqlite_store).run(spec)
+        ParallelExecutor(options=RunOptions(jobs=1, store=json_store)).run(spec)
+        ParallelExecutor(options=RunOptions(jobs=1, store=sqlite_store)).run(spec)
         json_records = {r["key"]: r for r in json_store.records()}
         sqlite_records = {r["key"]: r for r in sqlite_store.records()}
         assert json_records == sqlite_records
@@ -207,7 +208,7 @@ def _sweep_worker(store_url: str, benchmarks, ready):
     from repro.campaign.spec import campaign_preset
 
     spec = campaign_preset("fig4-mini").with_overrides(benchmarks=tuple(benchmarks))
-    ParallelExecutor(jobs=1, store=store_url).run(spec)
+    ParallelExecutor(options=RunOptions(jobs=1, store=store_url)).run(spec)
     ready.send("done")
     ready.close()
 
@@ -225,7 +226,7 @@ class TestConcurrentSqliteWriters:
         right = benchmarks[half:]
 
         serial_store = ResultStore(f"sqlite:{tmp_path / 'serial.db'}")
-        ParallelExecutor(jobs=1, store=serial_store).run(spec)
+        ParallelExecutor(options=RunOptions(jobs=1, store=serial_store)).run(spec)
 
         shared_url = f"sqlite:{tmp_path / 'shared.db'}"
         ctx = multiprocessing.get_context("spawn")

@@ -284,7 +284,7 @@ _INVARIANT_COUNTERS = (
 def _sweep_counters(jobs, store=None):
     obs_metrics.registry.clear()
     obs_metrics.enable()
-    executor = ParallelExecutor(jobs=jobs, store=store)
+    executor = ParallelExecutor(options=RunOptions(jobs=jobs, store=store))
     executor.run(_mini_spec())
     snapshot = obs_metrics.registry.snapshot()
     obs_metrics.disable()
@@ -311,11 +311,11 @@ class TestExecutorTelemetry:
 
     def test_results_bit_identical_with_telemetry_on(self, tmp_path):
         spec = _mini_spec()
-        baseline = ParallelExecutor(jobs=1).run(spec)
+        baseline = ParallelExecutor(options=RunOptions(jobs=1)).run(spec)
 
         obs_metrics.enable()
         store = ResultStore(tmp_path / "store")
-        observed = ParallelExecutor(jobs=1, store=store).run(spec)
+        observed = ParallelExecutor(options=RunOptions(jobs=1, store=store)).run(spec)
         assert (tmp_path / "store" / "telemetry.jsonl").exists()
 
         for base_run, obs_run in zip(baseline.runs, observed.runs):
@@ -329,7 +329,7 @@ class TestExecutorTelemetry:
     def test_journal_written_and_schema_valid(self, tmp_path):
         obs_metrics.enable()
         store = ResultStore(tmp_path / "store")
-        executor = ParallelExecutor(jobs=2, store=store)
+        executor = ParallelExecutor(options=RunOptions(jobs=2, store=store))
         executor.run(_mini_spec())
         journal_path = store.telemetry_path
         assert journal_path.exists()
@@ -354,7 +354,7 @@ class TestExecutorTelemetry:
             assert field in cell
 
         # Resume: the second run journals every cell as a store hit.
-        executor2 = ParallelExecutor(jobs=2, store=store)
+        executor2 = ParallelExecutor(options=RunOptions(jobs=2, store=store))
         executor2.run(_mini_spec())
         runs = telemetry.load_runs(journal_path)
         assert len(runs) == 2
@@ -363,7 +363,7 @@ class TestExecutorTelemetry:
 
     def test_pool_merges_worker_side_counters(self, tmp_path):
         obs_metrics.enable()
-        executor = ParallelExecutor(jobs=4)
+        executor = ParallelExecutor(options=RunOptions(jobs=4))
         executor.run(_mini_spec())
         snapshot = obs_metrics.registry.snapshot()
         if executor.used_pool:
@@ -375,14 +375,14 @@ class TestExecutorTelemetry:
 
     def test_no_journal_without_metrics_or_path(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        executor = ParallelExecutor(jobs=1, store=store)
+        executor = ParallelExecutor(options=RunOptions(jobs=1, store=store))
         executor.run(_mini_spec())
         assert executor.active_journal is None
         assert not store.telemetry_path.exists()
 
     def test_explicit_journal_path_without_metrics(self, tmp_path):
         path = tmp_path / "explicit.jsonl"
-        executor = ParallelExecutor(jobs=1, journal=path)
+        executor = ParallelExecutor(options=RunOptions(jobs=1), journal=path)
         executor.run(_mini_spec())
         assert path.exists()
         runs = telemetry.load_runs(path)

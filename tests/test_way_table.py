@@ -18,51 +18,41 @@ def addr(page: int, line: int, offset: int = 0) -> int:
     return layout.compose_line(page, line, offset)
 
 
+def excluded_way(line_in_page: int) -> int:
+    """Sec. V: lines 0..3 exclude way 0, lines 4..7 way 1, ... (4 banks, 4 ways)."""
+    return (line_in_page // layout.l1_banks) % layout.l1_associativity
+
+
 class TestWayTableEntry:
     def test_initially_unknown(self):
         entry = WayTableEntry()
         for line in range(layout.lines_per_page):
-            assert not entry.lookup(line).known
+            assert entry.way_of(line) is None
 
-    def test_update_and_lookup(self):
+    def test_update_and_way_of(self):
         entry = WayTableEntry()
         assert entry.update(5, way=3)
-        prediction = entry.lookup(5)
-        assert prediction.known and prediction.way == 3
-
-    def test_excluded_way_rotates_per_line_group(self):
-        entry = WayTableEntry()
-        assert entry.excluded_way(0) == 0
-        assert entry.excluded_way(3) == 0
-        assert entry.excluded_way(4) == 1
-        assert entry.excluded_way(8) == 2
-        assert entry.excluded_way(12) == 3
-        assert entry.excluded_way(16) == 0
+        assert entry.way_of(5) == 3
 
     def test_excluded_way_cannot_be_encoded(self):
         entry = WayTableEntry()
-        # Line 4 excludes way 1 (Sec. V).
+        # Line 4 excludes way 1 (Sec. V); recording it leaves "unknown".
+        assert entry.update(4, way=2)
         assert not entry.update(4, way=1)
-        assert not entry.lookup(4).known
-
-    def test_invalidate_line(self):
-        entry = WayTableEntry()
-        entry.update(7, way=2)
-        entry.invalidate_line(7)
-        assert not entry.lookup(7).known
+        assert entry.way_of(4) is None
 
     def test_clear(self):
         entry = WayTableEntry()
         entry.update(7, way=2)
         entry.update(9, way=3)
         entry.clear()
-        assert entry.known_lines() == 0
+        assert all(entry.way_of(line) is None for line in range(layout.lines_per_page))
 
     def test_copy_from(self):
         a, b = WayTableEntry(), WayTableEntry()
         a.update(1, way=2)
         b.copy_from(a)
-        assert b.lookup(1).way == 2
+        assert b.way_of(1) == 2
 
     def test_storage_bits_match_paper(self):
         entry = WayTableEntry()
@@ -70,12 +60,12 @@ class TestWayTableEntry:
         assert entry.naive_storage_bits == 192  # separate valid + way bits
         assert entry.storage_bits == entry.naive_storage_bits * 2 // 3
 
-    def test_bad_line_index_rejected(self):
+    def test_bad_line_or_way_rejected(self):
         entry = WayTableEntry()
         with pytest.raises(ValueError):
-            entry.lookup(64)
-        with pytest.raises(ValueError):
             entry.update(-1, 0)
+        with pytest.raises(ValueError):
+            entry.update(64, 0)
         with pytest.raises(ValueError):
             entry.update(0, 4)
 
@@ -88,58 +78,79 @@ class TestWayTableEntry:
         """Any (line, way) either round-trips exactly or reports unknown."""
         entry = WayTableEntry()
         encoded = entry.update(line, way)
-        prediction = entry.lookup(line)
         if encoded:
-            assert prediction.known and prediction.way == way
+            assert entry.way_of(line) == way
         else:
-            assert way == entry.excluded_way(line)
-            assert not prediction.known
+            assert way == excluded_way(line)
+            assert entry.way_of(line) is None
 
 
 class TestWayTableHierarchy:
-    def _system(self, feedback=True):
+    def _system(self, feedback=True, **tlb):
         stats = StatCounters()
-        translation = TLBHierarchy(stats=stats)
+        translation = TLBHierarchy(stats=stats, **tlb)
         l1 = L1DataCache(stats=stats, restrict_way_allocation=True)
         tables = WayTableHierarchy(translation, stats=stats, enable_feedback_update=feedback)
         tables.attach_to_cache(l1)
         return stats, translation, l1, tables
 
+    @staticmethod
+    def _way(tables, paddr, vpage):
+        """The tables' way for ``paddr`` (its page translated this cycle)."""
+        return tables.predict_page(vpage).way_of(layout.line_in_page(paddr))
+
     def test_fill_updates_way_information(self):
         stats, translation, l1, tables = self._system()
         paddr, _ = translation.translate_pair(addr(5, 0))
         way = l1.load_parts(paddr)[1]  # miss + fill -> tables learn the way
-        prediction = tables.predict_line(5, layout.line_in_page(paddr))
-        assert prediction.known
-        assert prediction.way == way
+        assert self._way(tables, paddr, 5) == way
+        assert stats["uwt.read"] == 1
+
+    def test_on_line_fill_and_evict(self):
+        stats, translation, l1, tables = self._system()
+        paddr, _ = translation.translate_pair(addr(5, 4))  # line 4 excludes way 1
+        line_address = layout.line_address(paddr)
+        tables.on_line_fill(line_address, 2)
+        assert self._way(tables, paddr, 5) == 2
+        tables.on_line_evict(line_address, 2)
+        assert self._way(tables, paddr, 5) is None
+        tables.on_line_fill(line_address, 1)
+        assert self._way(tables, paddr, 5) is None
+        assert stats["way_pred.unencodable_way"] == 1
 
     def test_eviction_clears_validity(self):
         stats, translation, l1, tables = self._system()
-        translation.translate_pair(addr(5, 0))
         paddr, _ = translation.translate_pair(addr(5, 0))
         way = l1.load_parts(paddr)[1]
         tables.on_line_evict(layout.line_address(paddr), way)
-        assert not tables.predict_line(5, layout.line_in_page(paddr)).known
+        assert self._way(tables, paddr, 5) is None
+
+    def test_unmapped_line_updates_counted(self):
+        stats, translation, l1, tables = self._system()
+        tables.on_line_fill(layout.compose_line(0x999, 0), 2)
+        tables.on_line_evict(layout.compose_line(0x999, 0), 2)
+        assert stats["way_pred.fill_unmapped"] == 1
+        assert stats["way_pred.evict_unmapped"] == 1
 
     def test_prediction_allows_reduced_access(self):
         stats, translation, l1, tables = self._system()
         paddr, _ = translation.translate_pair(addr(6, 3))
         l1.load_parts(paddr)
-        prediction = tables.predict_line(6, layout.line_in_page(paddr))
-        hit, _, _, reduced, _, hint_wrong = l1.load_parts(paddr, way_hint=prediction.way)
+        way = self._way(tables, paddr, 6)
+        hit, _, _, reduced, _, hint_wrong = l1.load_parts(paddr, way_hint=way)
         assert hit and reduced and not hint_wrong
 
     def test_feedback_update_after_unknown_conventional_hit(self):
         stats, translation, l1, tables = self._system(feedback=True)
         paddr, _ = translation.translate_pair(addr(7, 2))
         way = l1.load_parts(paddr)[1]  # fill
-        line = layout.line_in_page(paddr)
         # Forget the way (simulates a page whose WT entry was lost).
         slot = translation.utlb.reverse_lookup(layout.page_id(paddr), count_event=False)
         tables.uwt.clear_entry(slot)
-        assert not tables.predict_line(7, line).known
+        assert self._way(tables, paddr, 7) is None
         tables.feedback_conventional_hit(paddr, way)
-        assert tables.predict_line(7, line).known
+        assert self._way(tables, paddr, 7) == way
+        assert stats["way_pred.feedback_update"] == 1
 
     def test_feedback_disabled_is_a_noop(self):
         stats, translation, l1, tables = self._system(feedback=False)
@@ -147,43 +158,39 @@ class TestWayTableHierarchy:
         way = l1.load_parts(paddr)[1]
         slot = translation.utlb.reverse_lookup(layout.page_id(paddr), count_event=False)
         tables.uwt.clear_entry(slot)
-        tables.predict_line(7, layout.line_in_page(paddr))
+        assert self._way(tables, paddr, 7) is None
         tables.feedback_conventional_hit(paddr, way)
-        assert not tables.predict_line(7, layout.line_in_page(paddr)).known
+        assert self._way(tables, paddr, 7) is None
 
     def test_utlb_eviction_writes_entry_back_to_wt(self):
         stats, translation, l1, tables = self._system()
         # Touch page 0 and learn a way.
         paddr, _ = translation.translate_pair(addr(0, 1))
-        l1.load_parts(paddr)
-        line = layout.line_in_page(paddr)
+        way = l1.load_parts(paddr)[1]
         # Touch enough other pages to push page 0 out of the 16-entry uTLB.
         for page in range(1, 40):
             translation.translate_pair(addr(page, 0))
-        # The information must survive in the WT and refill the uWT on re-touch.
-        prediction = tables.predict_line(0, line)
-        assert prediction.known
+        assert translation.utlb.lookup(0, count_event=False) is None
+        # The information survives in the WT ...
+        assert self._way(tables, paddr, 0) == way
+        assert stats["wt.read"] == 1
+        # ... and refills the uWT when the page is translated again.
+        translation.translate_pair(addr(0, 1))
+        assert self._way(tables, paddr, 0) == way
+        assert stats["uwt.read"] == 1
 
     def test_tlb_eviction_loses_way_information(self):
-        stats = StatCounters()
-        translation = TLBHierarchy(utlb_entries=2, tlb_entries=4, stats=stats)
-        l1 = L1DataCache(stats=stats, restrict_way_allocation=True)
-        tables = WayTableHierarchy(translation, stats=stats)
-        tables.attach_to_cache(l1)
+        stats, translation, l1, tables = self._system(utlb_entries=2, tlb_entries=4)
         paddr, _ = translation.translate_pair(addr(0, 1))
         l1.load_parts(paddr)
         for page in range(1, 30):
             translation.translate_pair(addr(page, 0))
-        # Page 0 left the 4-entry TLB entirely: a fresh entry starts invalid.
-        assert not tables.predict_line(0, layout.line_in_page(paddr)).known
+        # Page 0 left the 4-entry TLB entirely: no entry covers it, and a
+        # re-fetch starts from a fresh, all-invalid entry.
+        assert tables.predict_page(0) is None
+        paddr, _ = translation.translate_pair(addr(0, 1))
+        assert self._way(tables, paddr, 0) is None
         assert stats["wt.page_invalidated"] >= 1
-
-    def test_coverage_property(self):
-        stats, translation, l1, tables = self._system()
-        paddr, _ = translation.translate_pair(addr(9, 0))
-        l1.load_parts(paddr)
-        tables.predict_line(9, 0)
-        assert 0.0 <= tables.coverage <= 1.0
 
     def test_storage_accounting(self):
         stats, translation, l1, tables = self._system()
@@ -206,8 +213,8 @@ class TestWayDeterminationUnit:
         wdu.record(addr(1, 1), 1)
         wdu.record(addr(1, 2), 2)  # evicts the oldest entry
         assert not wdu.predict(addr(1, 0)).known
+        assert wdu.predict(addr(1, 1)).known
         assert wdu.predict(addr(1, 2)).known
-        assert wdu.occupancy == 2
 
     def test_cache_eviction_invalidates_entry(self):
         wdu = WayDeterminationUnit(entries=8)
