@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Every file in this directory regenerates one table or figure of the paper
-(see DESIGN.md's experiment index).  The full paper runs 1-billion
+(see the "Tests and benchmarks" section of README.md).  The full paper runs 1-billion
 instruction Simpoint phases of 38 benchmarks; this harness uses the synthetic
 stand-ins with much shorter traces and a representative subset of benchmarks
 per suite so the whole harness completes in a few minutes.  The absolute

@@ -35,34 +35,35 @@ def main() -> None:
     space = space_preset("malec-mini").with_overrides(
         benchmarks=BENCHMARKS, instructions=INSTRUCTIONS
     )
-    store_dir = Path(tempfile.mkdtemp(prefix="malec-dse-")) / "dse"
-    store = ResultStore(store_dir)
-    print(f"space: {space.name} ({space.size} points), store: {store_dir}")
+    with tempfile.TemporaryDirectory(prefix="malec-dse-") as tmp:
+        store_dir = Path(tmp) / "dse"
+        store = ResultStore(store_dir)
+        print(f"space: {space.name} ({space.size} points), store: {store_dir}")
 
-    print("\n1. random sample (budget 6):")
-    random_pass = run_dse(
-        space, strategy="random", budget=6, jobs=JOBS, store=store, seed=1
-    )
-    print(
-        f"   {random_pass.cells_simulated} cells simulated, "
-        f"frontier has {len(random_pass.frontier)} point(s)"
-    )
+        print("\n1. random sample (budget 6):")
+        random_pass = run_dse(
+            space, strategy="random", budget=6, jobs=JOBS, store=store, seed=1
+        )
+        print(
+            f"   {random_pass.cells_simulated} cells simulated, "
+            f"frontier has {len(random_pass.frontier)} point(s)"
+        )
 
-    print("\n2. successive halving (budget 12, same store):")
-    halving_pass = run_dse(
-        space, strategy="halving", budget=12, jobs=JOBS, store=store, seed=1
-    )
-    print(
-        f"   {halving_pass.cells_simulated} cells simulated, "
-        f"{halving_pass.cells_resumed} resumed from the random pass's store"
-    )
+        print("\n2. successive halving (budget 12, same store):")
+        halving_pass = run_dse(
+            space, strategy="halving", budget=12, jobs=JOBS, store=store, seed=1
+        )
+        print(
+            f"   {halving_pass.cells_simulated} cells simulated, "
+            f"{halving_pass.cells_resumed} resumed from the random pass's store"
+        )
 
-    print("\nPareto frontier (all objectives minimized, vs Base1ldst):")
-    print(format_frontier(halving_pass.frontier, halving_pass.ranks))
+        print("\nPareto frontier (all objectives minimized, vs Base1ldst):")
+        print(format_frontier(halving_pass.frontier, halving_pass.ranks))
 
-    csv_path = store_dir / "frontier.csv"
-    csv_path.write_text(frontier_csv(halving_pass.frontier, halving_pass.ranks))
-    print(f"\nfrontier CSV written to {csv_path}")
+        csv_path = store_dir / "frontier.csv"
+        csv_path.write_text(frontier_csv(halving_pass.frontier, halving_pass.ranks))
+        print(f"\nfrontier CSV written to {csv_path}")
 
 
 if __name__ == "__main__":

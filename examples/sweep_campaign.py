@@ -41,25 +41,29 @@ def progress(event: str, cell, done: int, total: int) -> None:
 
 def main() -> None:
     spec = campaign_preset("fig4-mini").with_overrides(instructions=INSTRUCTIONS)
-    campaign_dir = Path(tempfile.mkdtemp(prefix="malec-campaign-")) / "fig4-mini"
-    store = ResultStore(campaign_dir)
+    with tempfile.TemporaryDirectory(prefix="malec-campaign-") as tmp:
+        campaign_dir = Path(tmp) / "fig4-mini"
+        store = ResultStore(campaign_dir)
 
-    print(f"campaign directory: {campaign_dir}")
-    print(f"\nfirst pass ({JOBS} worker processes):")
-    options = RunOptions(jobs=JOBS, store=store)
-    executor = ParallelExecutor(options=options, progress=progress)
-    executor.run(spec)
-    print(f"  -> {len(executor.completed_cells)} cells simulated, {len(store)} records on disk")
+        print(f"campaign directory: {campaign_dir}")
+        print(f"\nfirst pass ({JOBS} worker processes):")
+        options = RunOptions(jobs=JOBS, store=store)
+        executor = ParallelExecutor(options=options, progress=progress)
+        executor.run(spec)
+        print(
+            f"  -> {len(executor.completed_cells)} cells simulated, {len(store)} records on disk"
+        )
 
-    print("\nsecond pass (same directory — everything resumes from the store):")
-    executor = ParallelExecutor(options=options, progress=progress)
-    executor.run(spec)
-    print(f"  -> {len(executor.completed_cells)} cells simulated, "
-          f"{len(executor.skipped_cells)} resumed")
+        print("\nsecond pass (same directory — everything resumes from the store):")
+        executor = ParallelExecutor(options=options, progress=progress)
+        executor.run(spec)
+        print(
+            f"  -> {len(executor.completed_cells)} cells simulated, "
+            f"{len(executor.skipped_cells)} resumed"
+        )
 
-    print("\nanalysis rebuilt from the directory alone:")
-    print(summarize_store(store))
-
+        print("\nanalysis rebuilt from the directory alone:")
+        print(summarize_store(store))
 
 if __name__ == "__main__":
     main()

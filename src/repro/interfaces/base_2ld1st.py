@@ -48,7 +48,6 @@ class BaselineDualLoadInterface(BaseL1Interface):
     ) -> None:
         super().__init__(hierarchy, translation, stats=stats, **kwargs)
         self._pending_loads: Deque[PendingLoad] = deque()
-        self._h_bank_conflict = self.stats.handle("interface.bank_conflict")
 
     # ------------------------------------------------------------------
     def can_accept_load(self) -> bool:
@@ -87,17 +86,13 @@ class BaselineDualLoadInterface(BaseL1Interface):
         translate_pair = self.translation.translate_pair
         load_parts = self.hierarchy.l1.load_parts
 
-        # Demand loads: oldest first, up to the number of read ports.
+        # Demand loads: oldest first, up to the number of read ports.  Two
+        # loads never exceed a bank's two accesses, so no load waits on a bank.
         serviced = 0
-        deferred: List[PendingLoad] = []
         while pending_loads and serviced < self.loads_per_cycle:
             load = pending_loads.popleft()
             address = load.virtual_address
             bank = bank_index(address)
-            if bank_accesses.get(bank, 0) >= self._MAX_ACCESSES_PER_BANK:
-                deferred.append(load)
-                stats.bump(self._h_bank_conflict)
-                continue
             physical, translation_latency = translate_pair(address)
             self._forwarding_lookups(address, load.size, split=False)
             latency = load_parts(physical)[2]
@@ -105,8 +100,6 @@ class BaselineDualLoadInterface(BaseL1Interface):
             completions.append((load.tag, cycle + translation_latency + latency))
             stats.bump(self._h_load_accesses)
             serviced += 1
-        for load in reversed(deferred):
-            pending_loads.appendleft(load)
 
         # One merge-buffer write-back through the read/write port.
         if self._pending_writebacks:

@@ -5,7 +5,8 @@ scientific results: nothing in this package writes into
 :class:`~repro.stats.StatCounters`, result records, or stored campaign
 cells, so enabling any of it cannot perturb golden bit-identity (the obs
 identity tests pin this).  Everything is opt-in and off by default, and
-the CI bench gate bounds the disabled overhead below 2%.
+switched off it costs nothing: the default kernel variant carries no
+observation code at all (``test_default_variant_carries_no_observation_code``).
 
 Four pillars, one module each:
 
@@ -20,18 +21,17 @@ Four pillars, one module each:
     Chrome trace-event (catapult) JSON export — wall-clock campaign/DSE
     spans and sampled simulator timelines — with a checked-in schema and a
     dependency-free validator.
-:mod:`repro.obs.logs` / :mod:`repro.obs.progress` / :mod:`repro.obs.profile`
-    Run-scoped stdlib logging behind ``--verbose/--quiet/--log-json``, the
-    TTY progress line for sweeps, and ``repro profile`` (cProfile +
-    collapsed stacks over the bench scenarios).
+:mod:`repro.obs.logs` / :mod:`repro.obs.progress`
+    Run-scoped stdlib logging behind ``--verbose/--quiet/--log-json`` and
+    the TTY progress line for sweeps.
 
 Plus the durable layer on top (PR 9):
 
 :mod:`repro.obs.telemetry` / :mod:`repro.obs.hostinfo`
     The append-only per-cell ``telemetry.jsonl`` journal written next to
     every campaign store, the cross-run ``repro obs`` queries
-    (history/compare/cells/export), and the shared host-identity block the
-    bench harness stamps into its reports.
+    (history/compare/cells/export), and the host-identity block stamped
+    into every journal run header and every ``perfbench`` record.
 """
 
 from repro.obs import metrics, telemetry

@@ -153,9 +153,9 @@ def format_attribution(attribution: RunAttribution) -> str:
     if attribution.events_dispatched:
         lines.append("")
         lines.append(
-            f"event wheel: {attribution.events_dispatched} completion events "
-            f"dispatched ({attribution.events_dispatched / total:.3f}/cycle)"
+            f"completion events: {attribution.events_dispatched} dispatched "
+            f"({attribution.events_dispatched / total:.3f}/cycle)"
             if total
-            else f"event wheel: {attribution.events_dispatched} events"
+            else f"completion events: {attribution.events_dispatched} dispatched"
         )
     return "\n".join(lines)

@@ -1,15 +1,14 @@
-"""Host identity facts shared by the bench harness and the telemetry journal.
+"""Host identity facts shared by the telemetry journal and ``perfbench``.
 
 Two timing records are only comparable when they were taken on the same
-machine, core count and interpreter — so both the perf harness
-(``BENCH_*.json``) and the campaign telemetry journal (``telemetry.jsonl``)
-stamp every record with the same host block, produced here.  ``repro bench
---compare`` and ``repro obs compare`` both warn on mismatches instead of
-silently comparing apples to oranges.
+machine, core count and interpreter — so both the campaign telemetry journal
+(``telemetry.jsonl``) and the repository benchmark (``perfbench/``) stamp
+every record with the same host block, produced here.  ``repro obs history``
+shows it per run.
 
-This lives in ``repro.obs`` (not ``repro.bench``) so the telemetry layer can
-import it without pulling in the bench scenarios, which import the campaign
-executor — the executor is exactly the module that writes the journal.
+This lives in its own module so the telemetry layer can import it without
+pulling in anything that imports the campaign executor — the executor is
+exactly the module that writes the journal.
 """
 
 from __future__ import annotations
@@ -41,10 +40,9 @@ def detect_revision(default: str = "worktree") -> str:
 def host_metadata(revision: Optional[str] = None) -> dict:
     """The host facts that make two timing records (in)comparable.
 
-    Recorded in every bench report and every telemetry run header;
-    comparison commands warn when they differ, because a timing delta
-    between different machines, core counts or interpreter versions
-    measures the hosts, not the code.
+    Recorded in every telemetry run header and every ``perfbench`` record:
+    a timing delta between different machines, core counts or interpreter
+    versions measures the hosts, not the code.
     """
     return {
         "cpu_count": os.cpu_count() or 1,

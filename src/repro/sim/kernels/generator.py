@@ -61,7 +61,7 @@ from __future__ import annotations
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 3
+GENERATOR_VERSION = 4
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -364,11 +364,8 @@ def _prologue(spec: dict) -> str:
         ]
         accs.append("acc_fwd_full")
     if kind == "Base2ld1st":
-        lines += [
-            "    h_if_bank_conflict = interface._h_bank_conflict",
-            "    h_if_mbe_written = interface._h_mbe_written",
-        ]
-        accs += ["acc_bank_conflict", "acc_mbe_written"]
+        lines.append("    h_if_mbe_written = interface._h_mbe_written")
+        accs.append("acc_mbe_written")
     if kind == "MALEC":
         lines += [
             "    h_sb_lookup_offset = store_buffer._h_lookup_offset",
@@ -874,15 +871,10 @@ def _tick_2ld1st(spec: dict) -> str:
                 bank_accesses = {{}}
                 bank_writes = {{}}
                 serviced = 0
-                deferred_loads = []
                 while pending_loads and serviced < 2:
                     load = pending_loads.popleft()
                     address = load.virtual_address
                     bank = bank_index_of(address)
-                    if bank_accesses.get(bank, 0) >= 2:
-                        deferred_loads.append(load)
-                        acc_bank_conflict += 1
-                        continue
 {_translate_pair_inline(spec, "address", 20)}
 {_forwarding_inline(spec, "address", "load.size", "acc_fwd_full", 20)}
 {_l1_conventional_inline(spec, "physical", 20)}
@@ -892,8 +884,6 @@ def _tick_2ld1st(spec: dict) -> str:
                     )
                     acc_load_accesses += 1
                     serviced += 1
-                for load in reversed(deferred_loads):
-                    pending_loads.appendleft(load)
                 if pending_writebacks:
                     writeback = pending_writebacks[0]
                     if writeback.physical_line_address is None:
@@ -1382,7 +1372,6 @@ def _epilogue(spec: dict) -> str:
         ]
     if kind == "Base2ld1st":
         rows += [
-            _flush_row("acc_bank_conflict", [("h_if_bank_conflict", "acc_bank_conflict")]),
             _flush_row("acc_mbe_written", [("h_if_mbe_written", "acc_mbe_written")]),
         ]
     if kind == "MALEC":

@@ -18,7 +18,7 @@ objects:
 Decoding from ``.rtrc`` bytes therefore costs a fixed number of bulk byte
 operations instead of one ``struct`` tuple plus one ``Instruction.__init__``
 per record — that is what campaign pool workers pay on their first cell, and
-what ``repro bench``'s ``trace_columnar_decode`` scenario measures.
+what ``perfbench``'s ``workloads.decode_ms`` reports on ``serve_pool``.
 
 Batched interpretation
 ----------------------

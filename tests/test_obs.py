@@ -8,8 +8,8 @@ The two hard guarantees the tentpole rests on are exercised here:
   once, so they sum to the run's total cycle count.
 
 Plus the supporting machinery: the metrics registry, the trace-event
-exporter and its in-repo schema validator, collapsed-stack rendering, the
-progress reporter, run-scoped logging and bench host metadata.
+exporter and its in-repo schema validator, the progress reporter,
+run-scoped logging and the host metadata block.
 """
 
 from __future__ import annotations
@@ -17,18 +17,17 @@ from __future__ import annotations
 import io
 import json
 import logging
-import pstats
 
 import pytest
 
 from repro.api import RunOptions
-from repro.bench import compare_host_warnings, host_metadata, run_benchmarks
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.obs import metrics as obs_metrics
 from repro.obs import logs as obs_logs
 from repro.obs.attribution import attribute_run, format_attribution
 from repro.obs.collector import CYCLE_CATEGORIES, RunCollector
+from repro.obs.hostinfo import host_metadata
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.progress import ProgressReporter, make_progress
 from repro.obs.traceevent import (
@@ -172,6 +171,17 @@ class TestIdentityAndAttribution:
         assert payload["total_cycles"] == result.cycles
         assert sum(payload["cycles"].values()) == result.cycles
 
+    def test_report_counts_completion_events(self):
+        collector = RunCollector()
+        result = _run(SimulationConfig.malec(), collector=collector)
+        attribution = attribute_run("gzip", result, collector)
+        assert attribution.events_dispatched > 0
+        text = format_attribution(attribution)
+        events = attribution.events_dispatched
+        rate = events / attribution.total_cycles
+        assert f"completion events: {events} dispatched ({rate:.3f}/cycle)" in text
+        assert "event wheel" not in text
+
     def test_attribution_without_collector_is_unattributed(self):
         result = _run(SimulationConfig.malec())
         attribution = attribute_run("gzip", result)
@@ -249,49 +259,6 @@ class TestTraceEvents:
         assert validate_trace_events(log.as_dict()) == len(log)
         spans = [e for e in log.events if e["ph"] == "X"]
         assert len(spans) == len(spec.cells())
-
-
-# ----------------------------------------------------------------------
-# Profiling
-# ----------------------------------------------------------------------
-class TestProfile:
-    def test_collapsed_stack_lines_are_well_formed(self):
-        from repro.obs.profile import collapsed_stacks
-
-        import cProfile
-
-        def leaf():
-            return sum(range(2000))
-
-        def root():
-            return leaf()
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        root()
-        profiler.disable()
-        lines = collapsed_stacks(pstats.Stats(profiler))
-        assert lines == sorted(lines)
-        for line in lines:
-            stack, _, weight = line.rpartition(" ")
-            assert stack
-            assert int(weight) > 0
-
-    def test_run_profile_unknown_scenario_raises(self):
-        from repro.obs.profile import run_profile
-
-        with pytest.raises(KeyError):
-            run_profile("nope")
-
-    def test_run_profile_writes_collapsed_output(self, tmp_path):
-        from repro.obs.profile import run_profile
-
-        target = tmp_path / "stacks.txt"
-        report, count = run_profile(
-            "trace_generation", instructions=300, top=5, collapsed_out=target
-        )
-        assert "cumulative" in report
-        assert count == len(target.read_text().splitlines())
 
 
 # ----------------------------------------------------------------------
@@ -402,33 +369,13 @@ class TestCampaignObservability:
 
 
 # ----------------------------------------------------------------------
-# Bench host metadata
+# Host metadata
 # ----------------------------------------------------------------------
-class TestBenchHostMetadata:
-    def test_report_records_host(self):
-        report = run_benchmarks(quick=True, scenarios=["trace_generation"])
-        host = report["host"]
+class TestHostMetadata:
+    def test_host_block_fields(self):
+        host = host_metadata("abc1234")
         assert host["cpu_count"] >= 1
+        assert host["machine"]
         assert host["python"]
         assert host["platform"]
-        assert host["revision"] == report["revision"]
-
-    def test_unknown_scenario_raises(self):
-        with pytest.raises(ValueError):
-            run_benchmarks(quick=True, scenarios=["nope"])
-
-    def test_compare_host_warnings(self):
-        before = {"host": host_metadata("a")}
-        after = {"host": dict(host_metadata("b"), cpu_count=12345)}
-        warnings = compare_host_warnings(before, after)
-        assert any("cpu_count" in warning for warning in warnings)
-        # differing revisions alone never warn: comparing them is the point
-        assert compare_host_warnings(
-            {"host": host_metadata("a")}, {"host": host_metadata("b")}
-        ) == []
-
-    def test_legacy_reports_fall_back_to_top_level_fields(self):
-        before = {"python": "3.10.0", "platform": "Linux-x"}
-        after = {"python": "3.11.7", "platform": "Linux-x"}
-        warnings = compare_host_warnings(before, after)
-        assert any("python" in warning for warning in warnings)
+        assert host["revision"] == "abc1234"
